@@ -616,12 +616,12 @@ pub type MediumFactory = std::sync::Arc<dyn Fn() -> Box<dyn CheckpointMedium> + 
 pub struct CheckpointConfig {
     /// Directory holding the generation files (created if absent).
     pub dir: PathBuf,
-    /// Write every N completed iterations (`None`: no count cadence).
+    /// Write every N completed iterations (`None`: after every
+    /// iteration). The cadence is keyed on the absolute iteration
+    /// number, never on wall-clock time: a checkpoint write disarms
+    /// pairwise perturbation, so a time-keyed write would make a run's
+    /// trajectory depend on timing and break bitwise kill-and-resume.
     pub every_iters: Option<usize>,
-    /// Write when at least this much wall-clock has passed since the
-    /// last write (`None`: no time cadence). When neither cadence is
-    /// set, the driver writes after every iteration.
-    pub every: Option<std::time::Duration>,
     /// Generations to retain (older ones are pruned after each write).
     pub keep: usize,
     /// Injected storage medium for the fault harness (`None`: real fs).
@@ -632,10 +632,7 @@ pub struct CheckpointConfig {
 impl std::fmt::Debug for CheckpointConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("CheckpointConfig");
-        d.field("dir", &self.dir)
-            .field("every_iters", &self.every_iters)
-            .field("every", &self.every)
-            .field("keep", &self.keep);
+        d.field("dir", &self.dir).field("every_iters", &self.every_iters).field("keep", &self.keep);
         #[cfg(feature = "fault-inject")]
         d.field("medium_factory", &self.medium_factory.as_ref().map(|_| "injected"));
         d.finish()
@@ -649,7 +646,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
             every_iters: None,
-            every: None,
             keep: 3,
             #[cfg(feature = "fault-inject")]
             medium_factory: None,
@@ -659,12 +655,6 @@ impl CheckpointConfig {
     /// Sets the iteration-count cadence (0 is treated as 1).
     pub fn every_iters(mut self, n: usize) -> Self {
         self.every_iters = Some(n.max(1));
-        self
-    }
-
-    /// Sets the wall-clock cadence.
-    pub fn every(mut self, dt: std::time::Duration) -> Self {
-        self.every = Some(dt);
         self
     }
 

@@ -40,6 +40,24 @@
 //! best-so-far results instead of unbounded runs. Everything a detector
 //! saw and every recovery taken is recorded in
 //! [`CpResult::diagnostics`].
+//!
+//! # Structure
+//!
+//! The loop state — factors, Grams, λ, fit history, best fit, last-good
+//! snapshot, rollback budget, stall flag, elapsed-time base, diagnostics
+//! and timings — lives in one private `Session`, built fresh by
+//! [`CpAls::run_from`] or from a [`CpCheckpoint`] by
+//! [`CpAls::resume_from`] (both after the same input validation). A
+//! checkpoint is a view of the session, so what is written and what a
+//! resume restores cannot drift apart. Each mode's dense step (Hadamard,
+//! solve/ridge, normalize/reseed and the finiteness detectors) is one
+//! function that returns the breakdown it saw, so the loop has a single
+//! breakdown exit into `rollback`. Pairwise perturbation is a sweep
+//! strategy over this loop: its controller, `PpCtl`, is called before
+//! each iteration's MTTKRP phase (exact or approximate sweep) and at each
+//! iteration boundary (arm, re-baseline, disarm). Checkpoints are written
+//! on an iteration-count cadence only: a write disarms PP, so a
+//! time-keyed write would make the trajectory depend on timing.
 
 use crate::backend::MttkrpBackend;
 use crate::checkpoint::{
@@ -89,6 +107,12 @@ const STALL_WINDOW: usize = 8;
 /// Fit-change threshold for stall detection.
 const STALL_EPS: f64 = 1e-13;
 
+/// Per-column-block correction-skip threshold for pairwise-perturbation
+/// sweeps, passed to [`adatm_dtree::PpState::set_skip_tol`]: blocks whose
+/// factor delta is below this fraction of the baseline block norm are
+/// skipped.
+const PP_SKIP_TOL: f64 = 0.005;
+
 /// Configuration for pairwise-perturbation (PP) approximate sweeps
 /// ([`CpAlsOptions::pp`]).
 ///
@@ -118,18 +142,13 @@ pub struct PpConfig {
     /// multiple of this cadence (`0` disables the cadence; `1` keeps
     /// every sweep exact, i.e. disables PP).
     pub every: usize,
-    /// Per-column-block correction-skip threshold passed to
-    /// [`adatm_dtree::PpState::set_skip_tol`]: blocks whose factor delta
-    /// is below `skip_tol` times the baseline block norm are skipped.
-    pub skip_tol: f64,
 }
 
 impl PpConfig {
     /// Defaults: enter below 2% relative factor movement, exact sweep
-    /// every 5 iterations, skip correction blocks below 0.5% relative
-    /// delta.
+    /// every 5 iterations.
     pub fn new() -> Self {
-        PpConfig { tol: 0.02, every: 5, skip_tol: 0.005 }
+        PpConfig { tol: 0.02, every: 5 }
     }
 
     /// Sets the entry threshold on relative factor movement.
@@ -141,12 +160,6 @@ impl PpConfig {
     /// Sets the forced-exact-sweep cadence (0 disables, 1 disables PP).
     pub fn every(mut self, every: usize) -> Self {
         self.every = every;
-        self
-    }
-
-    /// Sets the per-block correction-skip threshold.
-    pub fn skip_tol(mut self, tol: f64) -> Self {
-        self.skip_tol = tol;
         self
     }
 }
@@ -400,29 +413,168 @@ struct Snapshot {
     lambda: Vec<f64>,
 }
 
-/// Loop state restored from a checkpoint by [`CpAls::resume_from`].
-/// Everything the iteration loop reads that is not recomputed from the
-/// factors (grams are) must pass through here, or a resumed trajectory
-/// diverges from the uninterrupted one.
-struct ResumeState {
+/// The loop state of one run: everything an iteration hands to the next.
+///
+/// Built fresh by [`CpAls::run_from`] or restored from a checkpoint by
+/// [`CpAls::resume_from`]. Everything the loop reads that is not
+/// recomputed from the factors (the Grams are) round-trips through a
+/// checkpoint, or a resumed trajectory would diverge from the
+/// uninterrupted one.
+struct Session {
+    /// First iteration this run executes (non-zero when resumed).
     start_iter: usize,
+    factors: Vec<Mat>,
+    /// Cached Gram matrices `W^(d) = U^(d)^T U^(d)`.
+    grams: Vec<Mat>,
     lambda: Vec<f64>,
     fit_history: Vec<f64>,
     best_fit: f64,
     last_good: Option<Snapshot>,
     rollbacks_left: usize,
-    recoveries: usize,
     stall_recorded: bool,
+    /// Wall-clock spent by the run this one resumes.
     elapsed_base_ns: u64,
+    diag: RunDiagnostics,
+    timings: PhaseTimings,
 }
 
-/// Live checkpointing state for one run: the open store plus cadence
-/// tracking.
+impl Session {
+    fn fresh(factors: Vec<Mat>, rank: usize, recovery_budget: usize) -> Self {
+        Session {
+            start_iter: 0,
+            grams: factors.iter().map(Mat::gram).collect(),
+            factors,
+            lambda: vec![1.0; rank],
+            fit_history: Vec::new(),
+            best_fit: f64::NEG_INFINITY,
+            last_good: None,
+            rollbacks_left: recovery_budget,
+            stall_recorded: false,
+            elapsed_base_ns: 0,
+            diag: RunDiagnostics::default(),
+            timings: PhaseTimings::default(),
+        }
+    }
+
+    fn resume(ckpt: CpCheckpoint) -> Self {
+        let last_good = ckpt.last_good.map(|(lambda, factors)| Snapshot {
+            grams: factors.iter().map(Mat::gram).collect(),
+            factors,
+            lambda,
+        });
+        // Restoring the recovery count keeps the rollback `attempt`
+        // counters — and so every reseed stream — aligned with the
+        // uninterrupted trajectory.
+        let diag = RunDiagnostics { recoveries: ckpt.recoveries, ..RunDiagnostics::default() };
+        Session {
+            start_iter: ckpt.next_iter,
+            grams: ckpt.factors.iter().map(Mat::gram).collect(),
+            factors: ckpt.factors,
+            lambda: ckpt.lambda,
+            fit_history: ckpt.fit_history,
+            best_fit: ckpt.best_fit,
+            last_good,
+            rollbacks_left: ckpt.rollbacks_left,
+            stall_recorded: ckpt.stall_recorded,
+            elapsed_base_ns: ckpt.elapsed_ns,
+            diag,
+            timings: PhaseTimings::default(),
+        }
+    }
+
+    /// Restores the FULL last-good snapshot — factors, Grams and λ
+    /// together, so no consumer ever sees a factor/Gram pair that never
+    /// coexisted. Returns `false` (state untouched) when none exists.
+    fn restore_last_good(&mut self) -> bool {
+        let Some(snap) = &self.last_good else { return false };
+        self.factors.clone_from(&snap.factors);
+        self.grams.clone_from(&snap.grams);
+        self.lambda.clone_from(&snap.lambda);
+        true
+    }
+
+    /// The fit `1 - ||X - M|| / ||X||` from the last subiteration: with
+    /// every factor normalized and λ holding the last-updated mode's
+    /// scales, `<X, M> = sum_r λ_r <M_last(:, r), U_last(:, r)>`. The
+    /// identity needs the EXACT last-mode MTTKRP `m_last`.
+    fn exact_fit(&self, m_last: &Mat, last: usize, xnorm2: f64, g: &mut Mat) -> f64 {
+        let mut inner = 0.0;
+        for (r, &l) in self.lambda.iter().enumerate() {
+            inner += l * m_last.col_dot(&self.factors[last], r);
+        }
+        g.as_mut_slice().fill(1.0);
+        for w in &self.grams {
+            g.hadamard_assign(w);
+        }
+        let mnorm2 = g.weighted_quad(&self.lambda, &self.lambda).max(0.0);
+        let resid2 = (xnorm2 - 2.0 * inner + mnorm2).max(0.0);
+        if xnorm2 > 0.0 {
+            1.0 - (resid2 / xnorm2).sqrt()
+        } else {
+            0.0
+        }
+    }
+
+    /// Stall detector (detection only — the caller asked for every
+    /// iteration): records one event once the fit has stopped moving
+    /// for a full window.
+    fn note_stall(&mut self, iter: usize) {
+        if self.stall_recorded || self.fit_history.len() < STALL_WINDOW {
+            return;
+        }
+        let win = &self.fit_history[self.fit_history.len() - STALL_WINDOW..];
+        let spread = win.iter().fold(f64::NEG_INFINITY, |m, &f| m.max(f))
+            - win.iter().fold(f64::INFINITY, |m, &f| m.min(f));
+        if spread < STALL_EPS {
+            self.stall_recorded = true;
+            self.diag.record(BreakdownEvent {
+                iter,
+                mode: None,
+                kind: BreakdownKind::FitStall,
+                recovery: RecoveryAction::None,
+                recovery_time: Duration::ZERO,
+            });
+        }
+    }
+
+    /// Writes one checkpoint generation of this session. Write failures
+    /// are non-fatal: durability degrades (earlier generations stay
+    /// intact), correctness does not, so the run records a
+    /// [`BreakdownKind::CheckpointWriteFailed`] diagnostic and keeps
+    /// iterating.
+    fn write_checkpoint(&mut self, ck: &mut CkptCtx, seed: u64, next_iter: usize, start: Instant) {
+        let t0 = Instant::now();
+        let view = CheckpointView {
+            seed,
+            next_iter,
+            lambda: &self.lambda,
+            factors: &self.factors,
+            fit_history: &self.fit_history,
+            best_fit: self.best_fit,
+            recoveries: self.diag.recoveries,
+            rollbacks_left: self.rollbacks_left,
+            stall_recorded: self.stall_recorded,
+            elapsed_ns: self.elapsed_base_ns + start.elapsed().as_nanos() as u64,
+            last_good: self.last_good.as_ref().map(|s| (s.lambda.as_slice(), s.factors.as_slice())),
+        };
+        if ck.store.write(&view).is_err() {
+            self.diag.record(BreakdownEvent {
+                iter: next_iter.saturating_sub(1),
+                mode: None,
+                kind: BreakdownKind::CheckpointWriteFailed,
+                recovery: RecoveryAction::None,
+                recovery_time: t0.elapsed(),
+            });
+        }
+        self.timings.checkpoint += t0.elapsed();
+    }
+}
+
+/// Live checkpointing state for one run: the open store plus its
+/// iteration cadence.
 struct CkptCtx {
     store: CheckpointStore,
-    every_iters: usize, // 0: no iteration-count cadence
-    every: Option<Duration>,
-    last_write: Instant,
+    every_iters: usize, // 0: never on cadence
 }
 
 impl CkptCtx {
@@ -431,69 +583,16 @@ impl CkptCtx {
     /// not silently run without it.
     fn open(cfg: &CheckpointConfig) -> Result<Self, CpAlsError> {
         let store = cfg.build_store().map_err(CpAlsError::Checkpoint)?;
-        let every_iters = match (cfg.every_iters, cfg.every) {
-            // No cadence configured at all: checkpoint every iteration.
-            (None, None) => 1,
-            (n, _) => n.unwrap_or(0),
-        };
-        Ok(CkptCtx { store, every_iters, every: cfg.every, last_write: Instant::now() })
+        // No cadence configured: checkpoint every iteration.
+        Ok(CkptCtx { store, every_iters: cfg.every_iters.unwrap_or(1) })
     }
 
     /// Whether a checkpoint is due after completing `iter` (0-based).
     /// The iteration count is absolute, so a resumed run writes at the
     /// same boundaries the uninterrupted one would.
     fn due(&self, iter: usize) -> bool {
-        (self.every_iters > 0 && (iter + 1).is_multiple_of(self.every_iters))
-            || self.every.is_some_and(|dt| self.last_write.elapsed() >= dt)
+        self.every_iters > 0 && (iter + 1).is_multiple_of(self.every_iters)
     }
-}
-
-/// Writes one checkpoint generation from live solver state. Write
-/// failures are non-fatal: durability degrades (earlier generations
-/// stay intact), correctness does not, so the run records a
-/// [`BreakdownKind::CheckpointWriteFailed`] diagnostic and keeps
-/// iterating.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    ck: &mut CkptCtx,
-    seed: u64,
-    next_iter: usize,
-    lambda: &[f64],
-    factors: &[Mat],
-    fit_history: &[f64],
-    best_fit: f64,
-    rollbacks_left: usize,
-    stall_recorded: bool,
-    last_good: &Option<Snapshot>,
-    elapsed_ns: u64,
-    diag: &mut RunDiagnostics,
-    timings: &mut PhaseTimings,
-) {
-    let t0 = Instant::now();
-    let view = CheckpointView {
-        seed,
-        next_iter,
-        lambda,
-        factors,
-        fit_history,
-        best_fit,
-        recoveries: diag.recoveries,
-        rollbacks_left,
-        stall_recorded,
-        elapsed_ns,
-        last_good: last_good.as_ref().map(|s| (s.lambda.as_slice(), s.factors.as_slice())),
-    };
-    if ck.store.write(&view).is_err() {
-        diag.record(BreakdownEvent {
-            iter: next_iter.saturating_sub(1),
-            mode: None,
-            kind: BreakdownKind::CheckpointWriteFailed,
-            recovery: RecoveryAction::None,
-            recovery_time: t0.elapsed(),
-        });
-    }
-    ck.last_write = Instant::now();
-    timings.checkpoint += t0.elapsed();
 }
 
 /// Relative factor movement between two factor sets:
@@ -518,15 +617,16 @@ fn rel_factor_delta(prev: &[Mat], cur: &[Mat]) -> f64 {
 /// Pairwise-perturbation controller state for one run. The numeric
 /// machinery lives in [`adatm_dtree::PpState`]; this owns the policy:
 /// when to trust the memoized baseline and when to force exact sweeps.
+/// The loop calls [`PpCtl::begin_iter`] before each iteration's MTTKRP
+/// phase and [`PpCtl::end_iter`] at each completed iteration boundary.
 struct PpCtl {
     cfg: PpConfig,
     /// Built lazily at the first entry (the symbolic pair analysis and
     /// memo buffers are only worth paying for once PP actually arms).
     state: Option<PpState>,
     /// Factors at the end of the previous completed iteration, for the
-    /// entry threshold on relative movement.
+    /// entry threshold on relative movement (empty before the first).
     prev: Vec<Mat>,
-    have_prev: bool,
     /// Whether approximate sweeps are currently enabled.
     armed: bool,
     /// `diag.events.len()` when the baseline was captured: any growth
@@ -547,12 +647,15 @@ struct PpCtl {
 }
 
 impl PpCtl {
-    fn new(cfg: PpConfig) -> Self {
+    /// A disarmed controller. A resumed run passes its restored factors:
+    /// checkpoints are only written right after PP disarms (or while it
+    /// never armed), so they are the movement reference an
+    /// uninterrupted run would carry at this boundary.
+    fn new(cfg: PpConfig, resumed: Option<&[Mat]>) -> Self {
         PpCtl {
             cfg,
             state: None,
-            prev: Vec::new(),
-            have_prev: false,
+            prev: resumed.map(<[Mat]>::to_vec).unwrap_or_default(),
             armed: false,
             baseline_events: 0,
             last_sweep_pp: false,
@@ -576,6 +679,151 @@ impl PpCtl {
             st.invalidate();
         }
         adatm_trace::event!("pp.exit", iter: iter as u64, reason: reason);
+    }
+
+    /// Decides whether iteration `iter`'s MTTKRP phase is approximate
+    /// and, if so, runs the fused PP sweep into [`PpCtl::outs`]. Exact
+    /// sweeps are forced on the configured cadence (absolute iteration
+    /// index, so resumed runs agree), whenever any detector fired since
+    /// the baseline was captured, and whenever the factors drifted past
+    /// the entry threshold.
+    fn begin_iter<B: MttkrpBackend + ?Sized>(
+        &mut self,
+        iter: usize,
+        s: &mut Session,
+        backend: &mut B,
+    ) -> bool {
+        if self.armed && s.diag.events.len() != self.baseline_events {
+            // A recovery restored state the memoized baseline no longer
+            // describes.
+            self.disarm(iter, "recovery");
+        }
+        let cadence_exact = self.cfg.every > 0 && iter.is_multiple_of(self.cfg.every);
+        let mut pp =
+            self.armed && !cadence_exact && self.state.as_ref().is_some_and(PpState::is_fresh);
+        // Validity guard: the perturbative expansion is only
+        // second-order-accurate while the factors stay within the entry
+        // threshold of the memoized baseline. Past it, force an exact
+        // sweep — `end_iter` then re-captures the baseline, so drift is
+        // bounded by `tol` for every approximate sweep regardless of the
+        // cadence.
+        if pp && self.state.as_mut().is_some_and(|st| st.baseline_drift(&s.factors) > self.cfg.tol)
+        {
+            pp = false;
+        }
+        if !pp && self.last_sweep_pp {
+            // Back to exact sweeps: the backend's memoized intermediates
+            // predate the PP factor updates.
+            backend.reset();
+        }
+        self.last_sweep_pp = pp;
+        let st = match self.state.as_mut() {
+            Some(st) if pp => st,
+            _ => return false,
+        };
+        let t0 = Instant::now();
+        st.reset_sweep_stats();
+        st.pp_sweep_into(&s.factors, &mut self.outs);
+        let d = t0.elapsed();
+        s.timings.mttkrp += d;
+        self.pp_ns += d.as_nanos();
+        self.pp_sweeps += 1;
+        let stats = st.sweep_stats();
+        adatm_trace::event!(
+            "pp.sweep",
+            iter: iter as u64,
+            sweep_ns: d.as_nanos() as u64,
+            blocks_applied: stats.applied,
+            blocks_skipped: stats.skipped
+        );
+        true
+    }
+
+    /// Iteration-boundary bookkeeping: the sweep-phase timing split,
+    /// movement tracking, and the arm / re-baseline decisions.
+    /// `clean_exact` says the iteration was an exact sweep no detector
+    /// fired on.
+    fn end_iter(
+        &mut self,
+        iter: usize,
+        tensor: &SparseTensor,
+        s: &mut Session,
+        clean_exact: bool,
+        sweep_ns: u128,
+        wrote_ckpt: bool,
+    ) {
+        if clean_exact {
+            self.exact_ns += sweep_ns;
+            self.exact_sweeps += 1;
+        }
+        if wrote_ckpt {
+            // A durable checkpoint was just written; a run resumed from
+            // it starts with exact intermediates and a disarmed
+            // controller, so the uninterrupted trajectory must disarm
+            // here too to stay bitwise-identical.
+            self.disarm(iter, "checkpoint");
+        } else if clean_exact && !self.armed {
+            let rel = if self.prev.is_empty() {
+                f64::INFINITY
+            } else {
+                rel_factor_delta(&self.prev, &s.factors)
+            };
+            if self.cfg.every != 1 && rel <= self.cfg.tol {
+                // Enter approximate mode: capture the baseline at
+                // exactly the factors this exact sweep produced.
+                let rank = s.factors[0].ncols();
+                let t0 = Instant::now();
+                let st = self.state.get_or_insert_with(|| PpState::new(tensor, rank));
+                st.set_skip_tol(PP_SKIP_TOL);
+                st.refresh(tensor, &s.factors);
+                if self.outs.len() != s.factors.len() {
+                    self.outs = tensor.dims().iter().map(|&d| Mat::zeros(d, rank)).collect();
+                }
+                s.timings.mttkrp += t0.elapsed();
+                self.refreshes += 1;
+                self.armed = true;
+                self.baseline_events = s.diag.events.len();
+                adatm_trace::event!(
+                    "pp.enter",
+                    iter: iter as u64,
+                    rel_delta: rel,
+                    memo_bytes: st.memory_bytes() as u64
+                );
+            }
+        } else if clean_exact {
+            // Forced exact sweep while armed (cadence or drift guard):
+            // re-capture the baseline only once the factors have drifted
+            // past the entry threshold.
+            if let Some(st) = self.state.as_mut() {
+                if st.baseline_drift(&s.factors) > self.cfg.tol {
+                    let t0 = Instant::now();
+                    st.refresh(tensor, &s.factors);
+                    s.timings.mttkrp += t0.elapsed();
+                    self.refreshes += 1;
+                    self.baseline_events = s.diag.events.len();
+                }
+            }
+        }
+        self.prev.clone_from(&s.factors);
+    }
+
+    /// The approximation broke the trajectory: drop back to exact sweeps
+    /// and measure movement from the restored factors.
+    fn on_divergence(&mut self, iter: usize, s: &Session) {
+        self.disarm(iter, "divergence");
+        self.prev.clone_from(&s.factors);
+    }
+
+    /// Copies the sweep-phase counters into the run's diagnostics.
+    fn report(&self, diag: &mut RunDiagnostics) {
+        diag.pp_sweeps = self.pp_sweeps;
+        diag.pp_refreshes = self.refreshes;
+        if self.pp_sweeps > 0 {
+            diag.pp_sweep_ns = Some(self.pp_ns as f64 / self.pp_sweeps as f64);
+        }
+        if self.exact_sweeps > 0 {
+            diag.exact_sweep_ns = Some(self.exact_ns as f64 / self.exact_sweeps as f64);
+        }
     }
 }
 
@@ -618,6 +866,83 @@ impl CpAls {
         backend: &mut B,
         factors: Vec<Mat>,
     ) -> Result<CpResult, CpAlsError> {
+        self.validate(tensor, &factors)?;
+        let session = Session::fresh(factors, self.opts.rank, self.opts.recovery_budget);
+        self.run_inner(tensor, backend, session)
+    }
+
+    /// Resumes a run from a durable checkpoint (see
+    /// [`CheckpointStore::load_latest`]), continuing **bitwise-identically**
+    /// to an uninterrupted run with the same options: the restored fit
+    /// history keeps the stall/divergence detectors from mistriggering,
+    /// and the restored recovery counters keep every reseed RNG stream
+    /// aligned. Gram matrices are recomputed from the restored factors
+    /// (they are bitwise-pure functions of them).
+    ///
+    /// The checkpoint must match `tensor` (mode dimensions), the
+    /// configured rank, and the configured seed; disagreements return a
+    /// typed [`CpAlsError::Checkpoint`] with
+    /// [`CheckpointError::Mismatch`] inside.
+    pub fn resume_from<B: MttkrpBackend + ?Sized>(
+        &self,
+        tensor: &SparseTensor,
+        backend: &mut B,
+        ckpt: CpCheckpoint,
+    ) -> Result<CpResult, CpAlsError> {
+        let rank = self.opts.rank;
+        let mismatch = |what: String| CpAlsError::Checkpoint(CheckpointError::Mismatch { what });
+        self.validate(tensor, &ckpt.factors).map_err(|e| match e {
+            CpAlsError::FactorCountMismatch { expected, found } => {
+                mismatch(format!("checkpoint has {found} modes, tensor has {expected}"))
+            }
+            CpAlsError::FactorShapeMismatch { mode, expected, found } => mismatch(format!(
+                "factor {mode} is {} x {}, tensor and rank {} require {} x {}",
+                found.0, found.1, expected.1, expected.0, expected.1
+            )),
+            e => e,
+        })?;
+        if ckpt.rank() != rank {
+            return Err(mismatch(format!(
+                "checkpoint rank {} vs requested rank {rank}",
+                ckpt.rank()
+            )));
+        }
+        if ckpt.seed != self.opts.seed {
+            return Err(mismatch(format!(
+                "checkpoint seed {} vs options seed {} — resume with the original seed \
+                 for a bitwise-identical trajectory",
+                ckpt.seed, self.opts.seed
+            )));
+        }
+        // Rolled-back iterations consume an iteration index without
+        // recording a fit, so the history may be shorter than the
+        // counter — but never longer.
+        if ckpt.fit_history.len() > ckpt.next_iter {
+            return Err(mismatch(format!(
+                "fit history has {} entries but the iteration counter is only {}",
+                ckpt.fit_history.len(),
+                ckpt.next_iter
+            )));
+        }
+        if let Some((l, fs)) = &ckpt.last_good {
+            let shape_ok = l.len() == rank
+                && fs.len() == tensor.ndim()
+                && fs.iter().zip(tensor.dims()).all(|(m, &d)| m.nrows() == d && m.ncols() == rank);
+            if !shape_ok {
+                return Err(mismatch("last-good snapshot shape mismatch".to_string()));
+            }
+            if !fs.iter().all(Mat::is_finite) || !l.iter().all(|v| v.is_finite()) {
+                return Err(mismatch("last-good snapshot is non-finite".to_string()));
+            }
+        }
+        self.run_inner(tensor, backend, Session::resume(ckpt))
+    }
+
+    /// Input validation shared by [`CpAls::run_from`] and
+    /// [`CpAls::resume_from`]: the rank, the tensor order, the starting
+    /// factor set's count, shapes and finiteness, and the tensor's
+    /// values.
+    fn validate(&self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
         let n = tensor.ndim();
         let rank = self.opts.rank;
         if rank == 0 {
@@ -646,186 +971,24 @@ impl CpAls {
         }
         #[cfg(feature = "audit")]
         audit_stage("cp-als input tensor", tensor);
-        self.run_inner(tensor, backend, factors, None)
+        Ok(())
     }
 
-    /// Resumes a run from a durable checkpoint (see
-    /// [`CheckpointStore::load_latest`]), continuing **bitwise-identically**
-    /// to an uninterrupted run with the same options: the restored fit
-    /// history keeps the stall/divergence detectors from mistriggering,
-    /// and the restored recovery counters keep every reseed RNG stream
-    /// aligned. Gram matrices are recomputed from the restored factors
-    /// (they are bitwise-pure functions of them).
-    ///
-    /// The checkpoint must match `tensor` (mode dimensions), the
-    /// configured rank, and the configured seed; disagreements return a
-    /// typed [`CpAlsError::Checkpoint`] with
-    /// [`CheckpointError::Mismatch`] inside.
-    pub fn resume_from<B: MttkrpBackend + ?Sized>(
-        &self,
-        tensor: &SparseTensor,
-        backend: &mut B,
-        ckpt: CpCheckpoint,
-    ) -> Result<CpResult, CpAlsError> {
-        let n = tensor.ndim();
-        let rank = self.opts.rank;
-        if rank == 0 {
-            return Err(CpAlsError::ZeroRank);
-        }
-        if n < 2 {
-            return Err(CpAlsError::TooFewModes { ndim: n });
-        }
-        let mismatch = |what: String| CpAlsError::Checkpoint(CheckpointError::Mismatch { what });
-        if ckpt.rank() != rank {
-            return Err(mismatch(format!(
-                "checkpoint rank {} vs requested rank {rank}",
-                ckpt.rank()
-            )));
-        }
-        if ckpt.factors.len() != n {
-            return Err(mismatch(format!(
-                "checkpoint has {} modes, tensor has {n}",
-                ckpt.factors.len()
-            )));
-        }
-        for (d, f) in ckpt.factors.iter().enumerate() {
-            if f.nrows() != tensor.dims()[d] || f.ncols() != rank {
-                return Err(mismatch(format!(
-                    "factor {d} is {} x {}, tensor/rank require {} x {rank}",
-                    f.nrows(),
-                    f.ncols(),
-                    tensor.dims()[d]
-                )));
-            }
-            if !f.is_finite() {
-                return Err(CpAlsError::NonFiniteInit { mode: d });
-            }
-        }
-        if ckpt.seed != self.opts.seed {
-            return Err(mismatch(format!(
-                "checkpoint seed {} vs options seed {} — resume with the original seed \
-                 for a bitwise-identical trajectory",
-                ckpt.seed, self.opts.seed
-            )));
-        }
-        // Rolled-back iterations consume an iteration index without
-        // recording a fit, so the history may be shorter than the
-        // counter — but never longer.
-        if ckpt.fit_history.len() > ckpt.next_iter {
-            return Err(mismatch(format!(
-                "fit history has {} entries but the iteration counter is only {}",
-                ckpt.fit_history.len(),
-                ckpt.next_iter
-            )));
-        }
-        if let Some((l, fs)) = &ckpt.last_good {
-            let shape_ok = l.len() == rank
-                && fs.len() == n
-                && fs.iter().zip(tensor.dims()).all(|(m, &d)| m.nrows() == d && m.ncols() == rank);
-            if !shape_ok {
-                return Err(mismatch("last-good snapshot shape mismatch".to_string()));
-            }
-            if !fs.iter().all(Mat::is_finite) || !l.iter().all(|v| v.is_finite()) {
-                return Err(mismatch("last-good snapshot is non-finite".to_string()));
-            }
-        }
-        if !tensor.vals().iter().all(|v| v.is_finite()) {
-            return Err(CpAlsError::NonFiniteTensor);
-        }
-        #[cfg(feature = "audit")]
-        audit_stage("cp-als input tensor", tensor);
-        let CpCheckpoint {
-            next_iter,
-            lambda,
-            factors,
-            fit_history,
-            best_fit,
-            recoveries,
-            rollbacks_left,
-            stall_recorded,
-            elapsed_ns,
-            last_good,
-            ..
-        } = ckpt;
-        let last_good = last_good.map(|(lambda, factors)| Snapshot {
-            grams: factors.iter().map(Mat::gram).collect(),
-            factors,
-            lambda,
-        });
-        self.run_inner(
-            tensor,
-            backend,
-            factors,
-            Some(ResumeState {
-                start_iter: next_iter,
-                lambda,
-                fit_history,
-                best_fit,
-                last_good,
-                rollbacks_left,
-                recoveries,
-                stall_recorded,
-                elapsed_base_ns: elapsed_ns,
-            }),
-        )
-    }
-
-    /// The shared iteration loop behind [`CpAls::run_from`] (fresh state)
-    /// and [`CpAls::resume_from`] (state restored from a checkpoint).
-    /// Input validation has already happened in the callers.
+    /// The iteration loop behind [`CpAls::run_from`] (fresh session) and
+    /// [`CpAls::resume_from`] (session restored from a checkpoint). Input
+    /// validation has already happened in the callers.
     fn run_inner<B: MttkrpBackend + ?Sized>(
         &self,
         tensor: &SparseTensor,
         backend: &mut B,
-        mut factors: Vec<Mat>,
-        resume: Option<ResumeState>,
+        mut s: Session,
     ) -> Result<CpResult, CpAlsError> {
         let n = tensor.ndim();
         let rank = self.opts.rank;
+        let budget = self.opts.time_budget;
         backend.reset();
         let start = Instant::now();
-        let mut timings = PhaseTimings::default();
-        let mut diag = RunDiagnostics::default();
         let xnorm2 = tensor.fro_norm_sq();
-        let (
-            start_iter,
-            mut lambda,
-            mut fit_history,
-            mut best_fit,
-            mut last_good,
-            mut rollbacks_left,
-            mut stall_recorded,
-            elapsed_base_ns,
-        ) = match resume {
-            Some(rs) => {
-                // Restoring the recovery count keeps the rollback
-                // `attempt` counters — and so every reseed stream —
-                // aligned with the uninterrupted trajectory.
-                diag.recoveries = rs.recoveries;
-                (
-                    rs.start_iter,
-                    rs.lambda,
-                    rs.fit_history,
-                    rs.best_fit,
-                    rs.last_good,
-                    rs.rollbacks_left,
-                    rs.stall_recorded,
-                    rs.elapsed_base_ns,
-                )
-            }
-            None => (
-                0,
-                vec![1.0; rank],
-                Vec::new(),
-                f64::NEG_INFINITY,
-                None,
-                self.opts.recovery_budget,
-                false,
-                0,
-            ),
-        };
-        // Cached Gram matrices W^(d) = U^(d)^T U^(d).
-        let mut grams: Vec<Mat> = factors.iter().map(Mat::gram).collect();
         let mut m_buf = Mat::zeros(0, 0);
         // Reusable R x R work matrices: the Hadamard-of-Grams system and
         // the fit Gram. Allocated once; steady-state iterations perform
@@ -833,7 +996,7 @@ impl CpAls {
         let mut h_buf = Mat::zeros(rank, rank);
         let mut g_buf = Mat::zeros(rank, rank);
         let mut converged = false;
-        let mut iters = start_iter;
+        let mut iters = s.start_iter;
         // Checkpointing is pure observation of the loop state: enabling
         // it must not perturb the trajectory (the kill-and-resume tests
         // assert bitwise identity against checkpoint-free runs). The one
@@ -842,25 +1005,12 @@ impl CpAls {
         // resumed run (which restores exact state and must rebuild any
         // memo baseline) makes the same arm/sweep decisions at the same
         // iterations as the uninterrupted one.
-        let mut ckpt = match &self.opts.checkpoint {
-            Some(cfg) => Some(CkptCtx::open(cfg)?),
-            None => None,
-        };
-        let mut ppctl = self.opts.pp.clone().map(PpCtl::new);
-        if let Some(ctl) = ppctl.as_mut() {
-            if start_iter > 0 {
-                // Resumed run: checkpoints are only written right after
-                // PP disarms (or while it never armed), so the restored
-                // factors are the movement reference an uninterrupted
-                // run would carry here — and PP starts disarmed, exactly
-                // like the uninterrupted trajectory at this boundary.
-                ctl.prev.clone_from(&factors);
-                ctl.have_prev = true;
-            }
-        }
-        // Bug-fix accounting for the drift detector: only iterations that
-        // completed without any detector firing — and whose MTTKRP phase
-        // was an exact sweep — measure what the cost model priced.
+        let mut ckpt = self.opts.checkpoint.as_ref().map(CkptCtx::open).transpose()?;
+        let resumed = (s.start_iter > 0).then_some(s.factors.as_slice());
+        let mut ppctl = self.opts.pp.clone().map(|cfg| PpCtl::new(cfg, resumed));
+        // Drift-detector accounting: only iterations that completed
+        // without any detector firing — and whose MTTKRP phase was an
+        // exact sweep — measure what the cost model priced.
         let mut clean_kernel_ns: u128 = 0;
         let mut clean_iters: u64 = 0;
         // Visit modes in the backend's preferred order (for memoizing
@@ -883,70 +1033,13 @@ impl CpAls {
             nnz: tensor.nnz() as u64
         );
 
-        'run: for iter in start_iter..self.opts.max_iters {
+        'run: for iter in s.start_iter..self.opts.max_iters {
             let _iter_span = adatm_trace::span_guard!("cpals.iter", iter: iter as u64);
+            let events_at_iter_start = s.diag.events.len();
+            let iter_mttkrp0 = s.timings.mttkrp;
+            let iter_dense0 = s.timings.dense;
+            let pp_iter = ppctl.as_mut().is_some_and(|ctl| ctl.begin_iter(iter, &mut s, backend));
             let mut iteration_aborted = false;
-            let events_at_iter_start = diag.events.len();
-            let iter_mttkrp0 = timings.mttkrp;
-            let iter_dense0 = timings.dense;
-            // Pairwise-perturbation decision for this iteration's MTTKRP
-            // phase. Exact sweeps are forced on the configured cadence
-            // (absolute iteration index, so resumed runs agree) and
-            // whenever any detector fired since the baseline was
-            // captured.
-            let pp_iter = match ppctl.as_mut() {
-                Some(ctl) => {
-                    if ctl.armed && diag.events.len() != ctl.baseline_events {
-                        // A recovery restored state the memoized
-                        // baseline no longer describes.
-                        ctl.disarm(iter, "recovery");
-                    }
-                    let cadence_exact = ctl.cfg.every > 0 && iter % ctl.cfg.every == 0;
-                    let mut pp = ctl.armed
-                        && !cadence_exact
-                        && ctl.state.as_ref().is_some_and(PpState::is_fresh);
-                    // Validity guard: the perturbative expansion is only
-                    // second-order-accurate while the factors stay
-                    // within the entry threshold of the memoized
-                    // baseline. Past it, force an exact sweep — the
-                    // end-of-iteration bookkeeping then re-captures the
-                    // baseline, so drift is bounded by `tol` for every
-                    // approximate sweep regardless of the cadence.
-                    if pp {
-                        let st = ctl.state.as_mut().expect("armed implies a built state");
-                        if st.baseline_drift(&factors) > ctl.cfg.tol {
-                            pp = false;
-                        }
-                    }
-                    if !pp && ctl.last_sweep_pp {
-                        // Back to exact sweeps: the backend's memoized
-                        // intermediates predate the PP factor updates.
-                        backend.reset();
-                    }
-                    ctl.last_sweep_pp = pp;
-                    pp
-                }
-                None => false,
-            };
-            if pp_iter {
-                let ctl = ppctl.as_mut().expect("pp_iter implies a controller");
-                let t0 = Instant::now();
-                let st = ctl.state.as_mut().expect("armed implies a built state");
-                st.reset_sweep_stats();
-                st.pp_sweep_into(&factors, &mut ctl.outs);
-                let d = t0.elapsed();
-                timings.mttkrp += d;
-                ctl.pp_ns += d.as_nanos();
-                ctl.pp_sweeps += 1;
-                let stats = st.sweep_stats();
-                adatm_trace::event!(
-                    "pp.sweep",
-                    iter: iter as u64,
-                    sweep_ns: d.as_nanos() as u64,
-                    blocks_applied: stats.applied,
-                    blocks_skipped: stats.skipped
-                );
-            }
             for &mode in &order {
                 let _mode_span =
                     adatm_trace::span_guard!("cpals.mode", iter: iter as u64, mode: mode as u64);
@@ -954,14 +1047,7 @@ impl CpAls {
                 // results instead of unbounded runs. Checked at the top
                 // of the mode and again after each kernel stage below, so
                 // an overrun is bounded by one stage.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "pre-mttkrp",
-                    &mut diag,
-                ) {
+                if watchdog_expired(start, budget, iter, mode, "pre-mttkrp", &mut s.diag) {
                     break 'run;
                 }
                 let t0 = Instant::now();
@@ -970,10 +1056,10 @@ impl CpAls {
                     if m_buf.nrows() != tensor.dims()[mode] || m_buf.ncols() != rank {
                         m_buf = Mat::zeros(tensor.dims()[mode], rank);
                     }
-                    backend.mttkrp_into(tensor, &factors, mode, &mut m_buf);
+                    backend.mttkrp_into(tensor, &s.factors, mode, &mut m_buf);
                 }
                 let d_mttkrp = t0.elapsed();
-                timings.mttkrp += d_mttkrp;
+                s.timings.mttkrp += d_mttkrp;
                 adatm_trace::event!(
                     "stage",
                     iter: iter as u64,
@@ -983,287 +1069,44 @@ impl CpAls {
                 );
                 // Re-check: a stalled or mispredicted MTTKRP must not let
                 // the overrun grow past this one stage.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "post-mttkrp",
-                    &mut diag,
-                ) {
+                if watchdog_expired(start, budget, iter, mode, "post-mttkrp", &mut s.diag) {
                     break 'run;
                 }
-
                 // On PP iterations the mode's MTTKRP was reconstructed
                 // perturbatively at the top of the iteration; everything
                 // downstream (solve, normalize, detectors) is identical.
-                let m: &Mat = match (pp_iter, ppctl.as_ref()) {
+                let m = match (pp_iter, ppctl.as_ref()) {
                     (true, Some(ctl)) => &ctl.outs[mode],
                     _ => &m_buf,
                 };
-                // Detector: a poisoned MTTKRP output. Nothing downstream
-                // of a NaN here is salvageable for this mode — roll back.
-                // (Runs before the audit hook: a non-finite output is a
-                // recoverable breakdown here, not an invariant violation.)
-                if !m.is_finite() {
-                    match self.rollback(
-                        BreakdownKind::NonFiniteMttkrp,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
+                // The single breakdown exit: whatever the dense step's
+                // detectors saw, the repair is a rollback to the
+                // last-good state (or a graceful degrade once the budget
+                // is spent).
+                if let Err(kind) = self.update_mode(&mut s, m, &mut h_buf, iter, mode) {
+                    if self.rollback(&mut s, kind, iter, mode, tensor, backend) {
+                        // The recovery consumed this iteration slot;
+                        // restart the sweep from the repaired state.
+                        iteration_aborted = true;
+                        break;
                     }
+                    break 'run;
                 }
-                #[cfg(feature = "audit")]
-                audit_stage("mttkrp output", m);
-
-                let t1 = Instant::now();
-                h_buf.as_mut_slice().fill(1.0);
-                for (d, w) in grams.iter().enumerate() {
-                    if d != mode {
-                        h_buf.hadamard_assign(w);
-                    }
-                }
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "gram",
-                    elapsed_ns: t1.elapsed().as_nanos() as u64
-                );
-                let h = &h_buf;
-                // Detector: a poisoned Gram system (possible only if a
-                // non-finite factor slipped past an earlier detector or
-                // the Hadamard product overflowed).
-                if !h.is_finite() {
-                    let d_dense = t1.elapsed();
-                    timings.dense += d_dense;
-                    adatm_trace::event!(
-                        "stage",
-                        iter: iter as u64,
-                        mode: mode as u64,
-                        stage: "dense",
-                        elapsed_ns: d_dense.as_nanos() as u64
-                    );
-                    match self.rollback(
-                        BreakdownKind::NonFiniteGram,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
-                    }
-                }
-
-                let t_solve = Instant::now();
-                let mut u = match try_solve_gram(m, h) {
-                    Ok((u, info)) => {
-                        if info.rank_deficient() || info.cond() > COND_LIMIT {
-                            // Detector: degenerate Gram system, condition
-                            // estimate read straight off the Jacobi
-                            // eigenvalues the pseudoinverse computed.
-                            // Recovery: Tikhonov ridge re-solve.
-                            let rt = Instant::now();
-                            let ridge = (info.max_abs_eig * RIDGE_REL).max(RIDGE_FLOOR);
-                            let repaired = ridge_solve_gram(m, h, ridge).ok();
-                            let recovered = repaired.is_some();
-                            diag.record(BreakdownEvent {
-                                iter,
-                                mode: Some(mode),
-                                kind: BreakdownKind::SingularGram,
-                                recovery: if recovered {
-                                    RecoveryAction::RidgeResolve { ridge }
-                                } else {
-                                    RecoveryAction::None
-                                },
-                                recovery_time: rt.elapsed(),
-                            });
-                            repaired.unwrap_or(u)
-                        } else {
-                            u
-                        }
-                    }
-                    Err(_) => {
-                        // Detector: the dense solve itself failed.
-                        // Recovery: ridge re-solve; if even that fails,
-                        // roll back.
-                        let rt = Instant::now();
-                        let scale = (0..rank).map(|r| h.get(r, r).abs()).fold(0.0_f64, f64::max);
-                        let ridge = (scale * RIDGE_REL).max(RIDGE_FLOOR);
-                        match ridge_solve_gram(m, h, ridge) {
-                            Ok(u) => {
-                                diag.record(BreakdownEvent {
-                                    iter,
-                                    mode: Some(mode),
-                                    kind: BreakdownKind::SolveFailed,
-                                    recovery: RecoveryAction::RidgeResolve { ridge },
-                                    recovery_time: rt.elapsed(),
-                                });
-                                u
-                            }
-                            Err(_) => {
-                                let d_dense = t1.elapsed();
-                                timings.dense += d_dense;
-                                adatm_trace::event!(
-                                    "stage",
-                                    iter: iter as u64,
-                                    mode: mode as u64,
-                                    stage: "dense",
-                                    elapsed_ns: d_dense.as_nanos() as u64
-                                );
-                                match self.rollback(
-                                    BreakdownKind::SolveFailed,
-                                    iter,
-                                    mode,
-                                    tensor,
-                                    backend,
-                                    &mut factors,
-                                    &mut grams,
-                                    &mut lambda,
-                                    &mut last_good,
-                                    &mut rollbacks_left,
-                                    &mut diag,
-                                ) {
-                                    true => {
-                                        iteration_aborted = true;
-                                        break;
-                                    }
-                                    false => break 'run,
-                                }
-                            }
-                        }
-                    }
-                };
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "solve",
-                    elapsed_ns: t_solve.elapsed().as_nanos() as u64
-                );
-                let t_norm = Instant::now();
-                lambda = if iter == 0 { u.normalize_cols() } else { u.normalize_cols_max() };
-                // Guard: a zero column (rank deficiency) would poison the
-                // model; re-seed it with noise so ALS can recover.
-                let mut reseeded = 0;
-                for (r, &l) in lambda.iter().enumerate() {
-                    if l == 0.0 {
-                        let noise = Mat::random(u.nrows(), 1, self.opts.seed ^ 0xdead ^ r as u64);
-                        for i in 0..u.nrows() {
-                            u.set(i, r, noise.get(i, 0));
-                        }
-                        reseeded += 1;
-                    }
-                }
-                if reseeded > 0 {
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: Some(mode),
-                        kind: BreakdownKind::ZeroColumns,
-                        recovery: RecoveryAction::ReseedColumns { reseeded_cols: reseeded },
-                        recovery_time: Duration::ZERO,
-                    });
-                }
-                // Detector: the updated factor or its scales went
-                // non-finite despite a finite system (overflow).
-                if !u.is_finite() || !lambda.iter().all(|l| l.is_finite()) {
-                    let d_dense = t1.elapsed();
-                    timings.dense += d_dense;
-                    adatm_trace::event!(
-                        "stage",
-                        iter: iter as u64,
-                        mode: mode as u64,
-                        stage: "dense",
-                        elapsed_ns: d_dense.as_nanos() as u64
-                    );
-                    match self.rollback(
-                        BreakdownKind::NonFiniteFactor,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
-                    }
-                }
-                grams[mode] = u.gram();
-                factors[mode] = u;
                 if let Some(st) = ppctl.as_mut().and_then(|c| c.state.as_mut()) {
                     st.note_factor_updated(mode);
                 }
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "normalize",
-                    elapsed_ns: t_norm.elapsed().as_nanos() as u64
-                );
-                let d_dense = t1.elapsed();
-                timings.dense += d_dense;
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "dense",
-                    elapsed_ns: d_dense.as_nanos() as u64
-                );
                 #[cfg(feature = "audit")]
-                audit_stage("updated factor", &factors[mode]);
+                audit_stage("updated factor", &s.factors[mode]);
                 // Re-check: bound a dense-phase overrun by this stage too.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "post-dense",
-                    &mut diag,
-                ) {
+                if watchdog_expired(start, budget, iter, mode, "post-dense", &mut s.diag) {
                     break 'run;
                 }
             }
             if iteration_aborted {
-                // The recovery consumed this iteration slot; restart the
-                // sweep from the repaired state.
                 continue;
             }
 
-            // Efficient fit from the last subiteration: with every factor
-            // now normalized and lambda holding the last-updated mode's
-            // scales, <X, model> = sum_r lambda_r <M(:, r), U(:, r)> for
-            // that mode. The identity needs the EXACT last-mode MTTKRP:
+            // The fit identity needs the EXACT last-mode MTTKRP:
             // evaluated with the perturbative reconstruction, the
             // `xnorm2 - 2*inner + mnorm2` cancellation amplifies the
             // approximation error catastrophically near convergence. So
@@ -1273,26 +1116,12 @@ impl CpAls {
             // accordingly.
             let t2 = Instant::now();
             let fit = if pp_iter {
-                fit_history.last().copied().unwrap_or(0.0)
+                s.fit_history.last().copied().unwrap_or(0.0)
             } else {
-                let mut inner = 0.0;
-                for (r, &l) in lambda.iter().enumerate() {
-                    inner += l * m_buf.col_dot(&factors[last], r);
-                }
-                g_buf.as_mut_slice().fill(1.0);
-                for w in &grams {
-                    g_buf.hadamard_assign(w);
-                }
-                let mnorm2 = g_buf.weighted_quad(&lambda, &lambda).max(0.0);
-                let resid2 = (xnorm2 - 2.0 * inner + mnorm2).max(0.0);
-                if xnorm2 > 0.0 {
-                    1.0 - (resid2 / xnorm2).sqrt()
-                } else {
-                    0.0
-                }
+                s.exact_fit(&m_buf, last, xnorm2, &mut g_buf)
             };
             let d_fit = t2.elapsed();
-            timings.fit += d_fit;
+            s.timings.fit += d_fit;
             adatm_trace::event!(
                 "stage",
                 iter: iter as u64,
@@ -1301,194 +1130,86 @@ impl CpAls {
                 fit: fit
             );
 
-            let prev = fit_history.last().copied();
+            let prev = s.fit_history.last().copied();
             // Detector: fit divergence. Healthy sweeps are monotone to
             // rounding; a sharp drop or a non-finite fit means the state
             // is corrupted beyond local repair. Restore the best earlier
-            // state and stop. Carried (PP) fit entries can never trigger
-            // this — a PP-broken trajectory surfaces at the next forced
-            // exact sweep, while the controller is still armed.
+            // state. Carried (PP) fit entries can never trigger this — a
+            // PP-broken trajectory surfaces at the next forced exact
+            // sweep, while the controller is still armed.
             let pp_induced = pp_iter || ppctl.as_ref().is_some_and(|c| c.armed);
-            let diverged =
-                !fit.is_finite() || prev.map(|p| fit < p - DIVERGENCE_DROP).unwrap_or(false);
-            if diverged {
+            if !fit.is_finite() || prev.is_some_and(|p| fit < p - DIVERGENCE_DROP) {
                 let rt = Instant::now();
-                if let Some(snap) = &last_good {
-                    // Restore the FULL snapshot. Leaving the cached Grams
-                    // at their diverged values while the factors roll
-                    // back would hand any consumer of this state —
-                    // including the PP baseline capture below — a
-                    // factor/Gram pair that never coexisted.
-                    factors.clone_from(&snap.factors);
-                    grams.clone_from(&snap.grams);
-                    lambda.clone_from(&snap.lambda);
-                }
-                if pp_induced {
-                    // The approximation itself broke the trajectory:
-                    // discard the approximate sweeps since the last good
-                    // state, drop back to exact sweeps (recorded as
-                    // detection-only — the restore above is the repair),
-                    // and keep running.
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: None,
-                        kind: BreakdownKind::FitDivergence,
-                        recovery: RecoveryAction::None,
-                        recovery_time: rt.elapsed(),
-                    });
-                    if let Some(ctl) = ppctl.as_mut() {
-                        ctl.disarm(iter, "divergence");
-                        ctl.prev.clone_from(&factors);
-                    }
-                    continue;
-                }
-                diag.record(BreakdownEvent {
+                s.restore_last_good();
+                // When the approximation itself broke the trajectory,
+                // the restore discards the approximate sweeps since the
+                // last good state and the run continues on exact sweeps
+                // (recorded as detection-only — the restore is the
+                // repair). Otherwise the run stops on the restored state.
+                s.diag.record(BreakdownEvent {
                     iter,
                     mode: None,
                     kind: BreakdownKind::FitDivergence,
-                    recovery: RecoveryAction::Degrade,
+                    recovery: if pp_induced {
+                        RecoveryAction::None
+                    } else {
+                        RecoveryAction::Degrade
+                    },
                     recovery_time: rt.elapsed(),
                 });
-                diag.stop = StopReason::Diverged;
-                diag.degraded = true;
+                if pp_induced {
+                    if let Some(ctl) = ppctl.as_mut() {
+                        ctl.on_divergence(iter, &s);
+                    }
+                    continue;
+                }
+                s.diag.stop = StopReason::Diverged;
+                s.diag.degraded = true;
                 break;
             }
 
             iters = iter + 1;
-            fit_history.push(fit);
-            // Detector: a stalled run with early stopping disabled.
-            // Detection only — the caller asked for every iteration.
-            // Suppressed while PP is active: carried fit entries make
-            // the window artificially flat.
-            if !stall_recorded
-                && !pp_induced
-                && self.opts.tol == 0.0
-                && fit_history.len() >= STALL_WINDOW
-            {
-                let win = &fit_history[fit_history.len() - STALL_WINDOW..];
-                let spread = win.iter().fold(f64::NEG_INFINITY, |m, &f| m.max(f))
-                    - win.iter().fold(f64::INFINITY, |m, &f| m.min(f));
-                if spread < STALL_EPS {
-                    stall_recorded = true;
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: None,
-                        kind: BreakdownKind::FitStall,
-                        recovery: RecoveryAction::None,
-                        recovery_time: Duration::ZERO,
-                    });
-                }
+            s.fit_history.push(fit);
+            // Stall detection is suppressed while PP is active: carried
+            // fit entries make the window artificially flat.
+            if !pp_induced && self.opts.tol == 0.0 {
+                s.note_stall(iter);
             }
             // Never snapshot on an approximate sweep: the carried fit
             // says nothing about the post-sweep factors, and last_good
             // is the state a divergence recovery falls back to — it must
             // only ever hold exactly-measured iterates.
-            if !pp_iter && fit >= best_fit {
-                best_fit = fit;
-                last_good = Some(Snapshot {
-                    factors: factors.clone(),
-                    grams: grams.clone(),
-                    lambda: lambda.clone(),
+            if !pp_iter && fit >= s.best_fit {
+                s.best_fit = fit;
+                s.last_good = Some(Snapshot {
+                    factors: s.factors.clone(),
+                    grams: s.grams.clone(),
+                    lambda: s.lambda.clone(),
                 });
             }
-            // Iteration-boundary checkpoint. Cadence is keyed on the
-            // absolute iteration number, so a resumed run writes at the
-            // same boundaries as the uninterrupted one; aborted
-            // (rolled-back) iterations never reach this point in either.
-            let mut wrote_ckpt = false;
-            if let Some(ck) = ckpt.as_mut() {
-                if ck.due(iter) {
-                    write_checkpoint(
-                        ck,
-                        self.opts.seed,
-                        iter + 1,
-                        &lambda,
-                        &factors,
-                        &fit_history,
-                        best_fit,
-                        rollbacks_left,
-                        stall_recorded,
-                        &last_good,
-                        elapsed_base_ns + start.elapsed().as_nanos() as u64,
-                        &mut diag,
-                        &mut timings,
-                    );
-                    wrote_ckpt = true;
+            // Iteration-boundary checkpoint. Aborted (rolled-back)
+            // iterations never reach this point, in either an
+            // uninterrupted or a resumed run.
+            let wrote_ckpt = match ckpt.as_mut() {
+                Some(ck) if ck.due(iter) => {
+                    s.write_checkpoint(ck, self.opts.seed, iter + 1, start);
+                    true
                 }
-            }
+                _ => false,
+            };
             // Clean-iteration kernel accounting for the drift detector:
             // recoveries re-do work the model never priced, and PP
             // sweeps run a kernel class the exact prediction does not
             // cover — both would make an honest prediction look
             // drifted.
-            let iter_clean = diag.events.len() == events_at_iter_start;
-            let iter_sweep_ns = (timings.mttkrp - iter_mttkrp0).as_nanos();
-            if iter_clean && !pp_iter {
-                clean_kernel_ns += iter_sweep_ns + (timings.dense - iter_dense0).as_nanos();
+            let clean_exact = s.diag.events.len() == events_at_iter_start && !pp_iter;
+            let iter_sweep_ns = (s.timings.mttkrp - iter_mttkrp0).as_nanos();
+            if clean_exact {
+                clean_kernel_ns += iter_sweep_ns + (s.timings.dense - iter_dense0).as_nanos();
                 clean_iters += 1;
             }
-            // Pairwise-perturbation bookkeeping at the iteration
-            // boundary: movement tracking, sweep-phase timing split, and
-            // the arm/re-baseline decisions.
             if let Some(ctl) = ppctl.as_mut() {
-                if iter_clean && !pp_iter {
-                    ctl.exact_ns += iter_sweep_ns;
-                    ctl.exact_sweeps += 1;
-                }
-                let rel = if ctl.have_prev {
-                    rel_factor_delta(&ctl.prev, &factors)
-                } else {
-                    f64::INFINITY
-                };
-                if wrote_ckpt {
-                    // A durable checkpoint was just written; a run
-                    // resumed from it starts with exact intermediates
-                    // and a disarmed controller, so the uninterrupted
-                    // trajectory must disarm here too to stay
-                    // bitwise-identical.
-                    ctl.disarm(iter, "checkpoint");
-                } else if iter_clean && !pp_iter {
-                    if !ctl.armed {
-                        if ctl.cfg.every != 1 && rel <= ctl.cfg.tol {
-                            // Enter approximate mode: capture the
-                            // baseline at exactly the factors this exact
-                            // sweep produced.
-                            let t0 = Instant::now();
-                            let st = ctl.state.get_or_insert_with(|| PpState::new(tensor, rank));
-                            st.set_skip_tol(ctl.cfg.skip_tol);
-                            st.refresh(tensor, &factors);
-                            if ctl.outs.len() != n {
-                                ctl.outs =
-                                    tensor.dims().iter().map(|&d| Mat::zeros(d, rank)).collect();
-                            }
-                            timings.mttkrp += t0.elapsed();
-                            ctl.refreshes += 1;
-                            ctl.armed = true;
-                            ctl.baseline_events = diag.events.len();
-                            adatm_trace::event!(
-                                "pp.enter",
-                                iter: iter as u64,
-                                rel_delta: rel,
-                                memo_bytes: ctl.state.as_ref().map_or(0, |s| s.memory_bytes()) as u64
-                            );
-                        }
-                    } else {
-                        // Forced exact sweep while armed (cadence or
-                        // drift guard): re-capture the baseline only
-                        // once the factors have drifted past the entry
-                        // threshold.
-                        let st = ctl.state.as_mut().expect("armed implies a built state");
-                        if st.baseline_drift(&factors) > ctl.cfg.tol {
-                            let t0 = Instant::now();
-                            st.refresh(tensor, &factors);
-                            timings.mttkrp += t0.elapsed();
-                            ctl.refreshes += 1;
-                            ctl.baseline_events = diag.events.len();
-                        }
-                    }
-                }
-                ctl.prev.clone_from(&factors);
-                ctl.have_prev = true;
+                ctl.end_iter(iter, tensor, &mut s, clean_exact, iter_sweep_ns, wrote_ckpt);
             }
             // Convergence is only ever declared from an exactly-measured
             // fit: on approximate sweeps `fit` is the carried previous
@@ -1496,7 +1217,7 @@ impl CpAls {
             if let Some(p) = prev {
                 if !pp_iter && self.opts.tol > 0.0 && (fit - p).abs() < self.opts.tol {
                     converged = true;
-                    diag.stop = StopReason::Converged;
+                    s.diag.stop = StopReason::Converged;
                     break;
                 }
             }
@@ -1506,23 +1227,9 @@ impl CpAls {
         // at iteration boundaries it completed, so a time-budget stop
         // mid-iteration would otherwise lose everything since the last
         // cadence hit. Persist the best-so-far state before returning.
-        if diag.stop == StopReason::TimeBudget {
+        if s.diag.stop == StopReason::TimeBudget {
             if let Some(ck) = ckpt.as_mut() {
-                write_checkpoint(
-                    ck,
-                    self.opts.seed,
-                    iters,
-                    &lambda,
-                    &factors,
-                    &fit_history,
-                    best_fit,
-                    rollbacks_left,
-                    stall_recorded,
-                    &last_good,
-                    elapsed_base_ns + start.elapsed().as_nanos() as u64,
-                    &mut diag,
-                    &mut timings,
-                );
+                s.write_checkpoint(ck, self.opts.seed, iters, start);
             }
         }
 
@@ -1530,71 +1237,189 @@ impl CpAls {
         // last-good snapshot existed; the rollback path guarantees the
         // factors it leaves behind are finite, so this is belt and
         // braces for the model we hand back.
-        debug_assert!(factors.iter().all(Mat::is_finite));
-        diag.elapsed = start.elapsed();
-        // Drift detector: with a calibrated backend, compare its
-        // per-iteration prediction against the measured kernel time
-        // (MTTKRP + dense, the phases the model prices) averaged over
-        // clean exact iterations only. Iterations that ran recoveries
-        // (ridge re-solves, rollback re-dos) or approximate PP sweeps
-        // spend time the model never priced and would fake a drift. A
-        // large excess on clean iterations means the profile is stale or
-        // the model mispriced this tensor.
-        diag.predicted_iter_ns = backend.predicted_iter_ns();
+        debug_assert!(s.factors.iter().all(Mat::is_finite));
+        s.diag.elapsed = start.elapsed();
+        s.diag.predicted_iter_ns = backend.predicted_iter_ns();
         if let Some(ctl) = ppctl.as_ref() {
-            diag.pp_sweeps = ctl.pp_sweeps;
-            diag.pp_refreshes = ctl.refreshes;
-            if ctl.pp_sweeps > 0 {
-                diag.pp_sweep_ns = Some(ctl.pp_ns as f64 / ctl.pp_sweeps as f64);
-            }
-            if ctl.exact_sweeps > 0 {
-                diag.exact_sweep_ns = Some(ctl.exact_ns as f64 / ctl.exact_sweeps as f64);
-            }
+            ctl.report(&mut s.diag);
         }
         if clean_iters > 0 {
             let measured = clean_kernel_ns as f64 / clean_iters as f64;
-            diag.measured_iter_ns = Some(measured);
-            if let Some(predicted) = diag.predicted_iter_ns {
-                adatm_trace::event!(
-                    "drift.check",
-                    predicted_ns: predicted,
-                    measured_ns: measured,
-                    factor: self.opts.drift_factor
-                );
-                if self.opts.drift_factor > 0.0
-                    && predicted > 0.0
-                    && measured > predicted * self.opts.drift_factor
-                {
-                    adatm_trace::event!(
-                        "drift.warning",
-                        predicted_ns: predicted,
-                        measured_ns: measured,
-                        ratio: measured / predicted,
-                        factor: self.opts.drift_factor
-                    );
-                    diag.record(BreakdownEvent {
-                        iter: iters - 1,
-                        mode: None,
-                        kind: BreakdownKind::PredictionDrift,
-                        recovery: RecoveryAction::None,
-                        recovery_time: Duration::ZERO,
-                    });
-                }
-            }
+            self.check_drift(&mut s.diag, measured, iters);
         }
         #[cfg(feature = "audit")]
-        adatm_audit::validate_factors(&factors, tensor.dims(), rank)
+        adatm_audit::validate_factors(&s.factors, tensor.dims(), rank)
             .unwrap_or_else(|e| panic!("audit: final factor set: {e}"));
         Ok(CpResult {
-            model: CpModel { lambda, factors },
+            model: CpModel { lambda: s.lambda, factors: s.factors },
             iters,
-            fit_history,
+            fit_history: s.fit_history,
             converged,
-            timings,
-            diagnostics: diag,
+            timings: s.timings,
+            diagnostics: s.diag,
             #[cfg(feature = "fault-inject")]
-            grams,
+            grams: s.grams,
         })
+    }
+
+    /// One mode's dense step: the Hadamard of the other modes' Grams,
+    /// the solve (with a ridge re-solve on a degenerate or failed
+    /// system), column normalization with zero-column reseeding, and the
+    /// finiteness detectors around them. On success the session holds
+    /// the new factor, its Gram and its scales; on a breakdown the
+    /// detected kind is returned for the caller's single rollback exit.
+    /// Dense time covers everything after the MTTKRP check, a breakdown
+    /// included, and is closed by one `dense` stage event.
+    fn update_mode(
+        &self,
+        s: &mut Session,
+        m: &Mat,
+        h: &mut Mat,
+        iter: usize,
+        mode: usize,
+    ) -> Result<(), BreakdownKind> {
+        // Detector: a poisoned MTTKRP output. Nothing downstream of a
+        // NaN here is salvageable for this mode. (Runs before the audit
+        // hook: a non-finite output is a recoverable breakdown here, not
+        // an invariant violation.)
+        if !m.is_finite() {
+            return Err(BreakdownKind::NonFiniteMttkrp);
+        }
+        #[cfg(feature = "audit")]
+        audit_stage("mttkrp output", m);
+        let t1 = Instant::now();
+        let step = self.solve_mode(s, m, h, iter, mode);
+        let d_dense = t1.elapsed();
+        s.timings.dense += d_dense;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "dense",
+            elapsed_ns: d_dense.as_nanos() as u64
+        );
+        step
+    }
+
+    /// The body of [`CpAls::update_mode`] between its MTTKRP check and
+    /// its dense-time accounting.
+    fn solve_mode(
+        &self,
+        s: &mut Session,
+        m: &Mat,
+        h: &mut Mat,
+        iter: usize,
+        mode: usize,
+    ) -> Result<(), BreakdownKind> {
+        let t1 = Instant::now();
+        h.as_mut_slice().fill(1.0);
+        for (d, w) in s.grams.iter().enumerate() {
+            if d != mode {
+                h.hadamard_assign(w);
+            }
+        }
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "gram",
+            elapsed_ns: t1.elapsed().as_nanos() as u64
+        );
+        // Detector: a poisoned Gram system (possible only if a non-finite
+        // factor slipped past an earlier detector or the Hadamard product
+        // overflowed).
+        if !h.is_finite() {
+            return Err(BreakdownKind::NonFiniteGram);
+        }
+
+        let t_solve = Instant::now();
+        let mut u = match try_solve_gram(m, h) {
+            Ok((u, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
+                // Detector: degenerate Gram system, condition estimate
+                // read straight off the Jacobi eigenvalues the
+                // pseudoinverse computed. Recovery: Tikhonov ridge
+                // re-solve.
+                let rt = Instant::now();
+                let ridge = (info.max_abs_eig * RIDGE_REL).max(RIDGE_FLOOR);
+                let repaired = ridge_solve_gram(m, h, ridge).ok();
+                s.diag.record(BreakdownEvent {
+                    iter,
+                    mode: Some(mode),
+                    kind: BreakdownKind::SingularGram,
+                    recovery: if repaired.is_some() {
+                        RecoveryAction::RidgeResolve { ridge }
+                    } else {
+                        RecoveryAction::None
+                    },
+                    recovery_time: rt.elapsed(),
+                });
+                repaired.unwrap_or(u)
+            }
+            Ok((u, _)) => u,
+            Err(_) => {
+                // Detector: the dense solve itself failed. Recovery:
+                // ridge re-solve; if even that fails, roll back.
+                let rt = Instant::now();
+                let scale = (0..self.opts.rank).map(|r| h.get(r, r).abs()).fold(0.0_f64, f64::max);
+                let ridge = (scale * RIDGE_REL).max(RIDGE_FLOOR);
+                let u = ridge_solve_gram(m, h, ridge).map_err(|_| BreakdownKind::SolveFailed)?;
+                s.diag.record(BreakdownEvent {
+                    iter,
+                    mode: Some(mode),
+                    kind: BreakdownKind::SolveFailed,
+                    recovery: RecoveryAction::RidgeResolve { ridge },
+                    recovery_time: rt.elapsed(),
+                });
+                u
+            }
+        };
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "solve",
+            elapsed_ns: t_solve.elapsed().as_nanos() as u64
+        );
+
+        let t_norm = Instant::now();
+        let lambda = if iter == 0 { u.normalize_cols() } else { u.normalize_cols_max() };
+        // Guard: a zero column (rank deficiency) would poison the model;
+        // re-seed it with noise so ALS can recover.
+        let mut reseeded = 0;
+        for (r, &l) in lambda.iter().enumerate() {
+            if l == 0.0 {
+                let noise = Mat::random(u.nrows(), 1, self.opts.seed ^ 0xdead ^ r as u64);
+                for i in 0..u.nrows() {
+                    u.set(i, r, noise.get(i, 0));
+                }
+                reseeded += 1;
+            }
+        }
+        if reseeded > 0 {
+            s.diag.record(BreakdownEvent {
+                iter,
+                mode: Some(mode),
+                kind: BreakdownKind::ZeroColumns,
+                recovery: RecoveryAction::ReseedColumns { reseeded_cols: reseeded },
+                recovery_time: Duration::ZERO,
+            });
+        }
+        // Detector: the updated factor or its scales went non-finite
+        // despite a finite system (overflow).
+        if !u.is_finite() || !lambda.iter().all(|l| l.is_finite()) {
+            return Err(BreakdownKind::NonFiniteFactor);
+        }
+        s.lambda = lambda;
+        s.grams[mode] = u.gram();
+        s.factors[mode] = u;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "normalize",
+            elapsed_ns: t_norm.elapsed().as_nanos() as u64
+        );
+        Ok(())
     }
 
     /// Rollback recovery: restore the last-good factor set (or reseed
@@ -1605,67 +1430,54 @@ impl CpAls {
     /// and `false` when the rollback budget is exhausted — in which case
     /// the state has been restored to the best-so-far model and the run
     /// must degrade gracefully.
-    #[allow(clippy::too_many_arguments)]
     fn rollback<B: MttkrpBackend + ?Sized>(
         &self,
+        s: &mut Session,
         kind: BreakdownKind,
         iter: usize,
         mode: usize,
         tensor: &SparseTensor,
         backend: &mut B,
-        factors: &mut Vec<Mat>,
-        grams: &mut Vec<Mat>,
-        lambda: &mut Vec<f64>,
-        last_good: &mut Option<Snapshot>,
-        rollbacks_left: &mut usize,
-        diag: &mut RunDiagnostics,
     ) -> bool {
         let rt = Instant::now();
         let rank = self.opts.rank;
-        let attempt = diag.recoveries as u64;
-        let restore = |factors: &mut Vec<Mat>, grams: &mut Vec<Mat>, lambda: &mut Vec<f64>| {
-            if let Some(snap) = last_good.as_ref() {
-                factors.clone_from(&snap.factors);
-                grams.clone_from(&snap.grams);
-                lambda.clone_from(&snap.lambda);
-            } else {
-                // No good state yet: reseed every factor from a
-                // recovery-derived seed so the restart is deterministic
-                // but different from the poisoned trajectory.
-                let seed = self.opts.seed ^ 0x5eed_0000 ^ (attempt + 1);
-                for (d, f) in factors.iter_mut().enumerate() {
-                    *f = Mat::random(tensor.dims()[d], rank, seed ^ ((d as u64) << 16));
-                }
-                *grams = factors.iter().map(Mat::gram).collect();
-                *lambda = vec![1.0; rank];
+        let attempt = s.diag.recoveries as u64;
+        let degrade = s.rollbacks_left == 0;
+        if !s.restore_last_good() {
+            // No good state yet: reseed every factor from a
+            // recovery-derived seed so the restart is deterministic but
+            // different from the poisoned trajectory.
+            let seed = self.opts.seed ^ 0x5eed_0000 ^ (attempt + 1);
+            for (d, f) in s.factors.iter_mut().enumerate() {
+                *f = Mat::random(tensor.dims()[d], rank, seed ^ ((d as u64) << 16));
             }
-        };
-        if *rollbacks_left == 0 {
-            restore(factors, grams, lambda);
-            diag.record(BreakdownEvent {
+            s.grams = s.factors.iter().map(Mat::gram).collect();
+            s.lambda = vec![1.0; rank];
+        }
+        if degrade {
+            s.diag.record(BreakdownEvent {
                 iter,
                 mode: Some(mode),
                 kind,
                 recovery: RecoveryAction::Degrade,
                 recovery_time: rt.elapsed(),
             });
-            diag.stop = StopReason::Degraded;
-            diag.degraded = true;
+            s.diag.stop = StopReason::Degraded;
+            s.diag.degraded = true;
             backend.reset();
             return false;
         }
-        *rollbacks_left -= 1;
-        restore(factors, grams, lambda);
+        s.rollbacks_left -= 1;
         // Re-randomize the offending mode so the deterministic re-sweep
         // does not just reproduce the breakdown.
         let reseed =
             self.opts.seed ^ 0xbad0_0000 ^ ((iter as u64) << 24) ^ ((mode as u64) << 8) ^ attempt;
-        factors[mode] = Mat::random(tensor.dims()[mode], rank, reseed);
-        grams[mode] = factors[mode].gram();
+        s.factors[mode] = Mat::random(tensor.dims()[mode], rank, reseed);
+        s.grams[mode] = s.factors[mode].gram();
         // Memoized intermediates may hold the poisoned values; flush
         // everything.
         backend.reset();
-        diag.record(BreakdownEvent {
+        s.diag.record(BreakdownEvent {
             iter,
             mode: Some(mode),
             kind,
@@ -1673,6 +1485,42 @@ impl CpAls {
             recovery_time: rt.elapsed(),
         });
         true
+    }
+
+    /// Drift detector: with a calibrated backend, compares its
+    /// per-iteration prediction against the `measured` kernel time
+    /// (MTTKRP + dense, the phases the model prices) averaged over clean
+    /// exact iterations only. Iterations that ran recoveries (ridge
+    /// re-solves, rollback re-dos) or approximate PP sweeps spend time
+    /// the model never priced and would fake a drift. A large excess on
+    /// clean iterations means the profile is stale or the model
+    /// mispriced this tensor.
+    fn check_drift(&self, diag: &mut RunDiagnostics, measured: f64, iters: usize) {
+        diag.measured_iter_ns = Some(measured);
+        let Some(predicted) = diag.predicted_iter_ns else { return };
+        let factor = self.opts.drift_factor;
+        adatm_trace::event!(
+            "drift.check",
+            predicted_ns: predicted,
+            measured_ns: measured,
+            factor: factor
+        );
+        if factor > 0.0 && predicted > 0.0 && measured > predicted * factor {
+            adatm_trace::event!(
+                "drift.warning",
+                predicted_ns: predicted,
+                measured_ns: measured,
+                ratio: measured / predicted,
+                factor: factor
+            );
+            diag.record(BreakdownEvent {
+                iter: iters - 1,
+                mode: None,
+                kind: BreakdownKind::PredictionDrift,
+                recovery: RecoveryAction::None,
+                recovery_time: Duration::ZERO,
+            });
+        }
     }
 }
 

@@ -23,6 +23,7 @@ use adatm::{
     PpConfig, SparseTensor, TreeShape, TuckerOptions,
 };
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -85,6 +86,18 @@ impl From<CpAlsError> for CliError {
     }
 }
 
+/// Writes one line to stdout, returning [`EXIT_IO`] from the enclosing
+/// command when stdout is closed (`adatm plan t.tns | head -1`) instead
+/// of panicking the way `println!` does.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(|e| CliError {
+            code: EXIT_IO,
+            msg: format!("cannot write to stdout: {e}"),
+        })?
+    };
+}
+
 impl From<AdmissionError> for CliError {
     fn from(e: AdmissionError) -> Self {
         CliError { code: EXIT_ADMISSION, msg: e.to_string() }
@@ -99,10 +112,7 @@ fn main() -> ExitCode {
         Some("generate") => cmd_generate(&args[1..]),
         Some("plan") => cmd_plan(&args[1..]),
         Some("decompose") => cmd_decompose(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
+        Some("--help") | Some("-h") | None => print_usage(),
         Some(other) => Err(CliError::from(format!("unknown subcommand '{other}' (try --help)"))),
     };
     // Flush and tear down any --trace sink before exiting (events are
@@ -111,7 +121,9 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {}", e.msg);
+            // Best effort: a closed stderr must not turn the error into a
+            // panic either.
+            let _ = writeln!(std::io::stderr(), "error: {}", e.msg);
             ExitCode::from(e.code)
         }
     }
@@ -139,7 +151,7 @@ fn checked_profile() -> Result<Option<KernelProfile>, CliError> {
                 age_s: age.map_or(-1i64, |a| a.as_secs() as i64),
                 threads: profile.threads
             );
-            println!("calibration: {path} (threads {})", profile.threads);
+            outln!("calibration: {path} (threads {})", profile.threads);
             Ok(Some(profile))
         }
         EnvProfile::Broken { path, error } => {
@@ -154,8 +166,8 @@ fn checked_profile() -> Result<Option<KernelProfile>, CliError> {
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), CliError> {
+    outln!(
         "adatm - model-driven sparse CP decomposition\n\n\
          USAGE:\n  adatm info <tensor>\n  adatm convert <in> <out>\n  \
          adatm generate --dims AxBxC [--nnz N] [--skew s|s1,s2,..] [--seed S] -o <out>\n  \
@@ -194,6 +206,7 @@ fn print_usage() {
          8  checkpoint failure (store unusable, or --resume found nothing readable)\n  \
          9  admission control rejected the run (nothing fits --mem-budget)"
     );
+    Ok(())
 }
 
 /// Splits `args` into positionals and `--flag value` options (flags with
@@ -237,6 +250,19 @@ fn opt_parse<T: std::str::FromStr>(
     }
 }
 
+/// Rejects input no solver or planner accepts — rank 0, fewer than two
+/// modes — with [`EXIT_SOLVER_INPUT`] before any constructor runs (the
+/// planner and the side solvers assert on both).
+fn check_solver_input(t: &SparseTensor, rank: usize) -> Result<(), CliError> {
+    if rank == 0 {
+        return Err(CpAlsError::ZeroRank.into());
+    }
+    if t.ndim() < 2 {
+        return Err(CpAlsError::TooFewModes { ndim: t.ndim() }.into());
+    }
+    Ok(())
+}
+
 /// Wraps a filesystem-level failure as [`EXIT_IO`].
 fn fs_err(e: std::io::Error) -> CliError {
     CliError { code: EXIT_IO, msg: e.to_string() }
@@ -268,19 +294,13 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
     let path = pos.first().ok_or("info requires a tensor file")?;
     let t = load(path)?;
     let s = TensorStats::compute(&t);
-    println!("file      : {path}");
-    println!("order     : {}", s.order);
-    println!(
-        "dims      : {}",
-        s.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(" x ")
-    );
-    println!("nnz       : {}", s.nnz);
-    println!("density   : {:.3e}", s.density);
-    println!("per-mode distinct: {:?}", s.distinct_per_mode);
-    println!(
-        "half-split collapse: {:.2} | {:.2}",
-        s.half_split_collapse.0, s.half_split_collapse.1
-    );
+    outln!("file      : {path}");
+    outln!("order     : {}", s.order);
+    outln!("dims      : {}", s.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(" x "));
+    outln!("nnz       : {}", s.nnz);
+    outln!("density   : {:.3e}", s.density);
+    outln!("per-mode distinct: {:?}", s.distinct_per_mode);
+    outln!("half-split collapse: {:.2} | {:.2}", s.half_split_collapse.0, s.half_split_collapse.1);
     Ok(())
 }
 
@@ -291,7 +311,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     }
     let t = load(&pos[0])?;
     store(&t, &pos[1])?;
-    println!("wrote {} ({} nnz)", pos[1], t.nnz());
+    outln!("wrote {} ({} nnz)", pos[1], t.nnz());
     Ok(())
 }
 
@@ -325,7 +345,7 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         zipf_tensor(&dims, nnz, &skews, seed)
     };
     store(&t, out)?;
-    println!("generated {} nnz into {out}", t.nnz());
+    outln!("generated {} nnz into {out}", t.nnz());
     Ok(())
 }
 
@@ -344,6 +364,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     let path = pos.first().ok_or("plan requires a tensor file")?;
     let t = load(path)?;
     let rank = opt_parse(&opts, "rank", 16usize)?;
+    check_solver_input(&t, rank)?;
     let mut planner = Planner::new(&t, rank).estimator(parse_estimator(&opts)?);
     if let Some(profile) = checked_profile()? {
         planner = planner.calibration(profile);
@@ -353,18 +374,22 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         planner = planner.memory_budget((mib * 1024.0 * 1024.0) as usize);
     }
     let plan = planner.plan();
-    println!(
+    outln!(
         "{} candidates ({} estimator evaluations); chosen: {}",
         plan.candidates.len(),
         plan.estimator_evals,
         plan.shape
     );
-    println!(
+    outln!(
         "{:<20} {:>14} {:>14} {:>12} {:>7}  shape",
-        "label", "flops/iter", "traffic-MiB/it", "resident-MiB", "fits"
+        "label",
+        "flops/iter",
+        "traffic-MiB/it",
+        "resident-MiB",
+        "fits"
     );
     for c in &plan.candidates {
-        println!(
+        outln!(
             "{:<20} {:>14.3e} {:>14.1} {:>12.1} {:>7}  {}{}",
             c.label,
             c.cost.flops_per_iter,
@@ -383,7 +408,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         } else {
             "tree"
         };
-        println!(
+        outln!(
             "calibrated: predicted {ns:.0} ns/iter, dispatch {dispatch} (csf {:.0} ns, coo {:.0} ns)",
             plan.csf_predicted_ns.unwrap_or(f64::NAN),
             plan.coo_predicted_ns.unwrap_or(f64::NAN)
@@ -394,9 +419,9 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         // decompose run with the same budget would face.
         let admitted = planner.plan_admitted()?;
         if admitted.use_coo && !plan.use_coo {
-            println!("admission: degraded to the fused COO baseline");
+            outln!("admission: degraded to the fused COO baseline");
         } else {
-            println!("admission: admitted within budget");
+            outln!("admission: admitted within budget");
         }
     }
     Ok(())
@@ -449,7 +474,6 @@ fn make_backend(
 
 fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
     std::fs::create_dir_all(dir).map_err(fs_err)?;
-    use std::io::Write;
     let lpath = format!("{dir}/lambda.txt");
     let mut lf = std::fs::File::create(&lpath).map_err(fs_err)?;
     for l in &model.lambda {
@@ -463,7 +487,7 @@ fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
             writeln!(file, "{}", row.join(" ")).map_err(fs_err)?;
         }
     }
-    println!("wrote lambda + {} factors under {dir}/", model.factors.len());
+    outln!("wrote lambda + {} factors under {dir}/", model.factors.len());
     Ok(())
 }
 
@@ -476,7 +500,9 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     let iters = opt_parse(&opts, "iters", 50usize)?;
     let tol = opt_parse(&opts, "tol", 1e-5f64)?;
     let seed = opt_parse(&opts, "seed", 0u64)?;
-    if opts.get("algo").map(String::as_str) == Some("tucker") {
+    check_solver_input(&t, rank)?;
+    let algo = opts.get("algo").map(String::as_str);
+    if algo == Some("tucker") {
         // Tucker runs on TTM chains directly, not an MTTKRP backend.
         let ranks: Vec<usize> = match opts.get("ranks") {
             Some(s) => s
@@ -488,8 +514,14 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         if ranks.len() != t.ndim() {
             return Err("--ranks needs one value per mode".into());
         }
+        if ranks.iter().zip(t.dims()).any(|(&r, &d)| r == 0 || r > d) {
+            return Err(CliError {
+                code: EXIT_SOLVER_INPUT,
+                msg: format!("--ranks must lie in 1..=mode size for mode sizes {:?}", t.dims()),
+            });
+        }
         let res = hooi(&t, &TuckerOptions::new(ranks).max_iters(iters).tol(tol).seed(seed));
-        println!(
+        outln!(
             "tucker: {} iters, fit {:.5}, converged {}, core norm {:.4}",
             res.iters,
             res.final_fit(),
@@ -503,14 +535,20 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     // fallback to analytic costs.
     let uses_planner = !opts.contains_key("shape")
         && matches!(opts.get("backend").map(String::as_str), None | Some("adaptive"));
+    if algo == Some("ncp") && t.vals().iter().any(|&v| v < 0.0) {
+        return Err(CliError {
+            code: EXIT_SOLVER_INPUT,
+            msg: "nonnegative CP (--algo ncp) needs a nonnegative tensor".to_string(),
+        });
+    }
     let profile = if uses_planner { checked_profile()? } else { None };
     let mem_budget = parse_mem_budget(&opts)?;
     if mem_budget.is_some() && !uses_planner {
         return Err("--mem-budget only applies to the adaptive (planner) backend".into());
     }
     let mut backend = make_backend(&t, rank, &opts, profile, mem_budget)?;
-    println!("backend: {}", backend.name());
-    match opts.get("algo").map(String::as_str) {
+    outln!("backend: {}", backend.name());
+    match algo {
         None | Some("als") => {
             let drift = opt_parse(&opts, "drift-factor", 2.0f64)?;
             let mut o =
@@ -543,12 +581,12 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 // seed wins over --seed (a mismatch would be a typed
                 // resume error, not a silently different model).
                 if outcome.checkpoint.seed != seed && opts.contains_key("seed") {
-                    println!(
+                    outln!(
                         "note: --seed {seed} ignored; resuming with checkpoint seed {}",
                         outcome.checkpoint.seed
                     );
                 }
-                println!(
+                outln!(
                     "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
                     outcome.path.display(),
                     outcome.generation,
@@ -560,7 +598,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             } else {
                 decompose_with(&t, &o, &mut backend)?
             };
-            println!(
+            outln!(
                 "als: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
                 res.iters,
                 res.final_fit(),
@@ -570,7 +608,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 res.timings.fit.as_secs_f64()
             );
             if res.diagnostics.pp_sweeps > 0 {
-                println!(
+                outln!(
                     "pp: {} approximate sweep(s), {} baseline refresh(es), {:.2} ms/sweep vs {:.2} ms exact",
                     res.diagnostics.pp_sweeps,
                     res.diagnostics.pp_refreshes,
@@ -579,7 +617,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 );
             }
             if res.diagnostics.recoveries > 0 || res.diagnostics.degraded {
-                println!(
+                outln!(
                     "resilience: {} breakdown event(s), {} recover(ies), stop: {:?}",
                     res.diagnostics.events.len(),
                     res.diagnostics.recoveries,
@@ -587,7 +625,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 );
             }
             if opts.contains_key("trace") {
-                println!("trace: {}", res.trace_summary());
+                outln!("trace: {}", res.trace_summary());
             }
             if let Some(dir) = opts.get("out") {
                 write_factors(dir, &res.model)?;
@@ -596,7 +634,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         Some("ncp") => {
             let o = NcpOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
             let res = ncp(&t, &mut backend, &o);
-            println!(
+            outln!(
                 "ncp: {} iters, fit {:.5}, converged {}",
                 res.iters,
                 res.final_fit(),
@@ -610,7 +648,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             let reg = opt_parse(&opts, "reg", 0.1f64)?;
             let o = CompletionOptions::new(rank).max_iters(iters).tol(tol).reg(reg).seed(seed);
             let res = complete(&t, &o);
-            println!(
+            outln!(
                 "complete: {} iters, train RMSE {:.5}, converged {}",
                 res.iters,
                 res.final_rmse(),
@@ -623,7 +661,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         Some("cpopt") => {
             let o = CpOptOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
             let res = cp_opt(&t, &mut backend, &o);
-            println!(
+            outln!(
                 "cpopt: {} iters, objective {:.5e}, converged {}",
                 res.iters,
                 res.objective_history.last().copied().unwrap_or(f64::NAN),

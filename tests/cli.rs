@@ -60,22 +60,97 @@ fn non_finite_tensor_exits_with_nonfinite_code() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every argv in the table runs against every bad input on both the
+/// adaptive (planner) backend and `--backend coo`, and must exit with
+/// the input's documented code — never with a panic (101).
 #[test]
-fn zero_rank_decompose_exits_with_solver_input_code() {
-    let dir = tmpdir("zerorank");
-    let tns = dir.join("t.tns");
+fn invalid_solver_input_exits_with_documented_code() {
+    let dir = tmpdir("badinput");
+    let three_mode = dir.join("t.tns");
     adatm()
         .args(["generate", "--dims", "10x10x10", "--nnz", "100", "-o"])
+        .arg(&three_mode)
+        .status()
+        .unwrap();
+    let one_mode = dir.join("one.tns");
+    std::fs::write(&one_mode, "1 2.0\n2 1.0\n3 0.5\n").unwrap();
+    let negative = dir.join("neg.tns");
+    let mut lines = String::new();
+    for i in 1..=5 {
+        for j in 1..=4 {
+            for k in 1..=3 {
+                let v = if (i, j, k) == (2, 3, 1) { -1.5 } else { (i * j + k) as f64 * 0.25 };
+                lines.push_str(&format!("{i} {j} {k} {v}\n"));
+            }
+        }
+    }
+    std::fs::write(&negative, lines).unwrap();
+
+    let commands: [&[&str]; 6] = [
+        &["plan"],
+        &["decompose", "--algo", "als"],
+        &["decompose", "--algo", "ncp"],
+        &["decompose", "--algo", "cpopt"],
+        &["decompose", "--algo", "complete"],
+        &["decompose", "--algo", "tucker"],
+    ];
+    // (input, rank, expected code for each command above)
+    let cases = [
+        (&three_mode, "0", [6, 6, 6, 6, 6, 6]),
+        (&one_mode, "2", [6, 6, 6, 6, 6, 6]),
+        (&negative, "2", [0, 0, 6, 0, 0, 0]),
+    ];
+    for (input, rank, codes) in &cases {
+        for (argv, &code) in commands.iter().zip(codes) {
+            for backend in [None, Some("coo")] {
+                let mut cmd = adatm();
+                cmd.arg(argv[0]).arg(input).args(&argv[1..]);
+                cmd.args(["--rank", rank, "--iters", "2"]);
+                if let Some(b) = backend {
+                    cmd.args(["--backend", b]);
+                }
+                let out = cmd.output().unwrap();
+                assert_eq!(
+                    out.status.code(),
+                    Some(code),
+                    "{argv:?} --rank {rank} --backend {backend:?} on {}: {}",
+                    input.display(),
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_exits_with_io_code() {
+    use std::io::{BufRead, BufReader};
+    let dir = tmpdir("closedpipe");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "30x30x30x30x30", "--nnz", "40000", "--seed", "1", "-o"])
         .arg(&tns)
         .status()
         .unwrap();
-    let out = adatm()
-        .arg("decompose")
+    // `--budget-mib` re-plans for admission after printing the candidate
+    // table, so the last line is written well after the first one: by
+    // then the reader below has closed the pipe.
+    let mut child = adatm()
+        .arg("plan")
         .arg(&tns)
-        .args(["--rank", "0", "--iters", "2", "--backend", "coo"])
-        .output()
+        .args(["--rank", "4", "--budget-mib", "10000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
         .unwrap();
-    assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.contains("candidates"), "first line: {first}");
+    // The reader (and with it the pipe's read end) is dropped here.
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("stdout"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
