@@ -333,5 +333,10 @@ mod tests {
         let (index, alloc) = raw_counts(&model(src));
         assert_eq!(index, vec![("lib.rs::f".to_string(), 2)]);
         assert!(alloc.is_empty());
+        // A slice literal (`&[1, 2]`) is not an indexing site.
+        let src = "// lint: hot-path\nfn f(a: &[u32], i: usize) -> u32 {\n    let s: &[u32] = \
+                   &[1, 2];\n    a[i] + s[0]\n}\n";
+        let (index, _) = raw_counts(&model(src));
+        assert_eq!(index, vec![("lib.rs::f".to_string(), 2)]);
     }
 }

@@ -301,7 +301,11 @@ mod tests {
 
     #[test]
     fn forbid_unsafe_check_matches_old_scanner() {
+        let f = check_forbid_unsafe("lib.rs", "//! A crate.\npub fn f() {}").expect("flagged");
+        assert!(f.message.contains("forbid(unsafe_code)"), "{}", f.message);
         assert!(check_forbid_unsafe("lib.rs", "pub fn f() {}").is_some());
         assert!(check_forbid_unsafe("lib.rs", "#![forbid(unsafe_code)]\npub fn f() {}").is_none());
+        let doc_first = "//! A crate.\n#![forbid(unsafe_code)]\npub fn f() {}";
+        assert!(check_forbid_unsafe("lib.rs", doc_first).is_none());
     }
 }

@@ -106,6 +106,8 @@ mod tests {
         ";
         let out = panic_lint(&kernel_model(src, ""));
         assert_eq!(out.findings.len(), 2);
+        let f = out.findings.iter().find(|f| f.line == 2).expect("unwrap finding on line 2");
+        assert!(f.message.contains("unwrap"), "{}", f.message);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * `ADATM_RANK` — decomposition rank (default 16);
 //! * argv[1] — output JSON path (default `BENCH_<date>.json`).
 //!
-//! The headline record is the scheduled COO kernel vs the legacy
-//! group-per-task kernel (`mttkrp_par_grouped`) on the 8-thread
-//! Zipf-0.9 E3-class tensor: the `summary.coo_sched_speedup` field is
-//! the regression gate for the scheduling work.
+//! When any hard gate fails the run exits 1 without writing the
+//! snapshot, so a failing run never becomes the baseline the next
+//! `cargo xtask bench` diffs against.
 
 // The counting allocator is the one permitted unsafe block in the
 // workspace: a GlobalAlloc shim must be `unsafe impl` by definition.
@@ -29,7 +28,7 @@ use adatm_dtree::{DtreeEngine, EngineOptions, NodeKernelClass, TreeShape};
 use adatm_linalg::Mat;
 use adatm_tensor::csf::CsfTensor;
 use adatm_tensor::gen::proxy_datasets;
-use adatm_tensor::mttkrp::{mttkrp_par_grouped, mttkrp_par_into, schedule_for_view};
+use adatm_tensor::mttkrp::{mttkrp_par_into, schedule_for_view};
 use adatm_tensor::schedule::Workspace;
 use adatm_tensor::{SortedModeView, SparseTensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -129,72 +128,31 @@ fn gate_tensor(smoke: bool) -> SparseTensor {
     spec.build()
 }
 
-/// COO kernel sweep: scheduled vs legacy grouped, all modes, summed.
-/// Returns (records, scheduled_total_ns, grouped_total_ns).
-fn bench_coo(
-    t: &SparseTensor,
-    rank: usize,
-    threads: usize,
-    reps: usize,
-) -> (Vec<Record>, u64, u64) {
+/// Scheduled COO kernel, every mode's sorted view.
+fn bench_coo(t: &SparseTensor, rank: usize, threads: usize, reps: usize) -> Vec<Record> {
     let factors = factors_for(t, rank, 11);
-    let views: Vec<SortedModeView> = (0..t.ndim()).map(|m| SortedModeView::build(t, m)).collect();
     let mut records = Vec::new();
-    let (mut sched_total, mut grouped_total) = (0u64, 0u64);
     with_threads(threads, || {
         let mut ws = Workspace::new();
-        for (mode, view) in views.iter().enumerate() {
-            let sched = schedule_for_view(view, threads);
+        for mode in 0..t.ndim() {
+            let view = SortedModeView::build(t, mode);
+            let sched = schedule_for_view(&view, threads);
             let mut out = Mat::zeros(t.dims()[mode], rank);
-            let mut run_sched = || {
-                mttkrp_par_into(t, &factors, mode, view, &sched, &mut ws, &mut out);
-            };
-            let mut legacy_out = Mat::zeros(t.dims()[mode], rank);
-            // The legacy per-iteration path: grouped kernel into a fresh
-            // matrix, then the backend's copy into the driver's buffer.
-            let mut run_grouped = || {
-                let m = mttkrp_par_grouped(t, &factors, mode, view);
-                legacy_out.as_mut_slice().copy_from_slice(m.as_slice());
-                std::hint::black_box(&legacy_out);
-            };
-            // Warmup both, then count steady-state allocation events.
-            run_sched();
-            let a0 = alloc_events();
-            run_sched();
-            let sched_allocs = alloc_events() - a0;
-            run_grouped();
-            let a0 = alloc_events();
-            run_grouped();
-            let grouped_allocs = alloc_events() - a0;
-            // Interleave timing rounds so machine noise drifts across
-            // both kernels equally; keep the per-kernel minimum.
-            let (mut sched_ns, mut grouped_ns) = (u64::MAX, u64::MAX);
-            for _ in 0..reps {
-                sched_ns = sched_ns.min(time_best(1, &mut run_sched).as_nanos() as u64);
-                grouped_ns = grouped_ns.min(time_best(1, &mut run_grouped).as_nanos() as u64);
-            }
-            std::hint::black_box(&out);
-            sched_total += sched_ns;
-            grouped_total += grouped_ns;
+            let (ns, allocs) = measure(reps, || {
+                mttkrp_par_into(t, &factors, mode, &view, &sched, &mut ws, &mut out);
+                std::hint::black_box(&out);
+            });
             records.push(Record {
                 kernel: "mttkrp",
                 backend: format!("coo-sched-m{mode}"),
                 tensor: "deli4d",
                 threads,
-                ns_per_call: sched_ns,
-                allocs_per_call: sched_allocs,
-            });
-            records.push(Record {
-                kernel: "mttkrp",
-                backend: format!("coo-grouped-m{mode}"),
-                tensor: "deli4d",
-                threads,
-                ns_per_call: grouped_ns,
-                allocs_per_call: grouped_allocs,
+                ns_per_call: ns,
+                allocs_per_call: allocs,
             });
         }
     });
-    (records, sched_total, grouped_total)
+    records
 }
 
 /// CSF root-mode kernel, every mode's forest.
@@ -455,7 +413,6 @@ fn write_json(
     threads: usize,
     rank: usize,
     records: &[Record],
-    speedup: f64,
     pp_speedup: f64,
     pp_fit_diff: f64,
 ) -> std::io::Result<()> {
@@ -465,9 +422,8 @@ fn write_json(
     out.push_str(&format!("  \"smoke\": {smoke},\n  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"rank\": {rank},\n"));
     out.push_str(&format!(
-        "  \"summary\": {{ \"coo_sched_speedup\": {speedup:.3}, \
-         \"pp_sweep_speedup\": {pp_speedup:.3}, \"pp_fit_diff\": {pp_fit_diff:.3e} }},\n  \
-         \"records\": [\n"
+        "  \"summary\": {{ \"pp_sweep_speedup\": {pp_speedup:.3}, \
+         \"pp_fit_diff\": {pp_fit_diff:.3e} }},\n  \"records\": [\n"
     ));
     for (i, r) in records.iter().enumerate() {
         let allocs = if r.allocs_per_call == u64::MAX {
@@ -504,7 +460,7 @@ fn main() {
     let t = gate_tensor(smoke);
     println!("   gate tensor: dims={:?} nnz={}", t.dims(), t.nnz());
 
-    let (mut records, sched_ns, grouped_ns) = bench_coo(&t, rank, threads, reps);
+    let mut records = bench_coo(&t, rank, threads, reps);
     records.extend(bench_csf(&t, rank, threads, reps));
     records.extend(bench_dtree_ttmv(&t, rank, threads, reps));
     records.extend(bench_alloc_gate(&t, rank));
@@ -514,8 +470,6 @@ fn main() {
     records.extend(pp_records);
     let (ckpt_record, ckpt_overhead_pct) = bench_ckpt_overhead(&t, rank, threads, e2e_reps);
     records.push(ckpt_record);
-
-    let speedup = if sched_ns > 0 { grouped_ns as f64 / sched_ns as f64 } else { 0.0 };
 
     let mut table = Table::new(&["kernel", "backend", "threads", "ns/call", "allocs/call"]);
     for r in &records {
@@ -528,16 +482,18 @@ fn main() {
         ]);
     }
     table.print();
-    println!(
-        "   COO full-sweep: scheduled {sched_ns} ns vs grouped {grouped_ns} ns -> {speedup:.2}x"
-    );
 
     // Hard gates mirrored from the test-suite so a bench run can't
-    // silently record a broken configuration.
-    let mut gate_failures: Vec<String> = records
+    // silently record a broken configuration. Each failure carries the
+    // label of the gate that raised it.
+    let mut gate_failures: Vec<(&str, String)> = records
         .iter()
         .filter(|r| r.kernel == "alloc-gate" && r.allocs_per_call != 0)
-        .map(|r| format!("{} allocated {} time(s) in steady state", r.backend, r.allocs_per_call))
+        .map(|r| {
+            let msg =
+                format!("{} allocated {} time(s) in steady state", r.backend, r.allocs_per_call);
+            ("ALLOC", msg)
+        })
         .collect();
 
     // Checkpoint-overhead gate: every-5-iterations checkpointing must
@@ -554,14 +510,13 @@ fn main() {
         "   checkpoint overhead: {ckpt_overhead_pct:.3}% of iteration work (gate < {tolerance}%)"
     );
     if ckpt_overhead_pct > tolerance {
-        gate_failures.push(format!(
-            "checkpointing every 5 iters costs {ckpt_overhead_pct:.2}% (> {tolerance}%) of \
-             cpals-iter work"
+        gate_failures.push((
+            "CKPT OVERHEAD",
+            format!(
+                "checkpointing every 5 iters costs {ckpt_overhead_pct:.2}% (> {tolerance}%) of \
+                 cpals-iter work"
+            ),
         ));
-        eprintln!("bench_kernels: CKPT OVERHEAD GATE FAILED: {}", gate_failures.last().unwrap());
-    }
-    for f in &gate_failures {
-        eprintln!("bench_kernels: ALLOC GATE FAILED: {f}");
     }
 
     // Pairwise-perturbation gates (full scale only: the smoke tensor's
@@ -571,32 +526,31 @@ fn main() {
     // moving the final fit by more than 1e-4 against the all-exact twin.
     if !smoke {
         if pp_speedup < 2.0 {
-            gate_failures.push(format!("pp sweep speedup {pp_speedup:.2}x below the 2x gate"));
-            eprintln!("bench_kernels: PP SPEEDUP GATE FAILED: {}", gate_failures.last().unwrap());
+            gate_failures.push((
+                "PP SPEEDUP",
+                format!("pp sweep speedup {pp_speedup:.2}x below the 2x gate"),
+            ));
         }
         if !(pp_fit_diff.is_finite() && pp_fit_diff <= 1e-4) {
-            gate_failures
-                .push(format!("pp final-fit difference {pp_fit_diff:.2e} exceeds the 1e-4 gate"));
-            eprintln!("bench_kernels: PP FIT GATE FAILED: {}", gate_failures.last().unwrap());
+            gate_failures.push((
+                "PP FIT",
+                format!("pp final-fit difference {pp_fit_diff:.2e} exceeds the 1e-4 gate"),
+            ));
         }
     }
 
-    if let Err(e) = write_json(
-        &out_path,
-        &date,
-        smoke,
-        threads,
-        rank,
-        &records,
-        speedup,
-        pp_speedup,
-        pp_fit_diff,
-    ) {
+    if !gate_failures.is_empty() {
+        for (label, msg) in &gate_failures {
+            eprintln!("bench_kernels: {label} GATE FAILED: {msg}");
+        }
+        eprintln!("bench_kernels: not writing {out_path}: {} gate(s) failed", gate_failures.len());
+        std::process::exit(1);
+    }
+    if let Err(e) =
+        write_json(&out_path, &date, smoke, threads, rank, &records, pp_speedup, pp_fit_diff)
+    {
         eprintln!("bench_kernels: cannot write {out_path}: {e}");
         std::process::exit(1);
     }
     println!("   wrote {out_path}");
-    if !gate_failures.is_empty() {
-        std::process::exit(1);
-    }
 }

@@ -6,7 +6,9 @@
 //! heap allocations on the sequential path, and the dimension-tree
 //! engine's scatter stays within its pooled buffers. Asserted with a
 //! counting global allocator, which is why this lives in its own test
-//! binary.
+//! binary. The counter is process-global, so every test holds
+//! [`serial`] for its whole body: a test running on another thread
+//! would otherwise add its set-up allocations to the count.
 
 // A `GlobalAlloc` impl is unavoidably `unsafe impl`; this file is one of
 // the two sanctioned exceptions to the workspace-wide `deny(unsafe_code)`
@@ -22,6 +24,7 @@ use adatm_tensor::schedule::Workspace;
 use adatm_tensor::{SortedModeView, SparseTensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -51,6 +54,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests of this binary (a failed test poisons the lock;
+/// the others still run).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Allocation events during one call of `f`, after the caller has warmed
 /// every cache the call touches.
 fn allocs_during(f: impl FnOnce()) -> u64 {
@@ -79,6 +90,7 @@ fn factors_for(t: &SparseTensor, rank: usize) -> Vec<Mat> {
 
 #[test]
 fn coo_scheduled_kernel_is_alloc_free_after_warmup() {
+    let _serial = serial();
     let t = test_tensor();
     let factors = factors_for(&t, 8);
     for mode in 0..t.ndim() {
@@ -97,6 +109,7 @@ fn coo_scheduled_kernel_is_alloc_free_after_warmup() {
 
 #[test]
 fn csf_scheduled_kernel_is_alloc_free_after_warmup() {
+    let _serial = serial();
     let t = test_tensor();
     let factors = factors_for(&t, 8);
     for mode in 0..t.ndim() {
@@ -114,9 +127,10 @@ fn csf_scheduled_kernel_is_alloc_free_after_warmup() {
 
 #[test]
 fn parallel_path_allocations_stay_bounded() {
+    let _serial = serial();
     // The parallel path allocates O(tasks) bookkeeping (the task-context
-    // vector plus the thread shim's dispatch) but must never regress to
-    // the legacy kernel's O(groups) per-row collections.
+    // vector plus the thread shim's dispatch) but must never grow with
+    // the number of groups.
     let t = test_tensor();
     let factors = factors_for(&t, 8);
     let mode = 1;
@@ -133,6 +147,7 @@ fn parallel_path_allocations_stay_bounded() {
 
 #[test]
 fn dtree_scatter_reuses_pooled_buffers() {
+    let _serial = serial();
     // The dimension-tree engine recycles node buffers through its pool;
     // a steady-state recompute+scatter must stay within a small constant
     // of bookkeeping allocations rather than reallocating intermediates.

@@ -151,24 +151,17 @@ pub struct CsfBackend {
     sched_threads: usize,
     /// Reusable kernel scratch shared across modes.
     ws: Workspace,
-    parallel: bool,
 }
 
 impl CsfBackend {
     /// Builds all `N` CSF representations.
     pub fn new(tensor: &SparseTensor) -> Self {
-        Self::with_parallel(tensor, true)
-    }
-
-    /// [`CsfBackend::new`] with explicit parallelism.
-    pub fn with_parallel(tensor: &SparseTensor, parallel: bool) -> Self {
         let scheds = (0..tensor.ndim()).map(|_| None).collect();
         CsfBackend {
             set: CsfSet::all_modes(tensor),
             scheds,
             sched_threads: 0,
             ws: Workspace::new(),
-            parallel,
         }
     }
 }
@@ -176,28 +169,23 @@ impl CsfBackend {
 impl MttkrpBackend for CsfBackend {
     fn mttkrp_into(&mut self, _tensor: &SparseTensor, factors: &[Mat], mode: usize, out: &mut Mat) {
         let csf = self.set.for_mode(mode);
-        if self.parallel {
-            let threads = rayon::current_num_threads();
-            if self.sched_threads != threads {
-                for s in &mut self.scheds {
-                    *s = None;
-                }
-                self.sched_threads = threads;
+        let threads = rayon::current_num_threads();
+        if self.sched_threads != threads {
+            for s in &mut self.scheds {
+                *s = None;
             }
-            let sched = self.scheds[mode].get_or_insert_with(|| {
-                adatm_trace::event!(
-                    "backend.schedule_rebuild",
-                    backend: "splatt-csf",
-                    mode: mode as u64,
-                    threads: threads as u64
-                );
-                csf.root_schedule(threads)
-            });
-            csf.mttkrp_root_into(factors, sched, &mut self.ws, out);
-        } else {
-            let m = csf.mttkrp_root(factors);
-            out.as_mut_slice().copy_from_slice(m.as_slice());
+            self.sched_threads = threads;
         }
+        let sched = self.scheds[mode].get_or_insert_with(|| {
+            adatm_trace::event!(
+                "backend.schedule_rebuild",
+                backend: "splatt-csf",
+                mode: mode as u64,
+                threads: threads as u64
+            );
+            csf.root_schedule(threads)
+        });
+        csf.mttkrp_root_into(factors, sched, &mut self.ws, out);
     }
 
     fn reset(&mut self) {
@@ -381,18 +369,29 @@ impl AdaptiveBackend {
                 "adaptive",
             ))
         };
-        adatm_trace::event!(
-            "backend.dispatch",
-            engine: match &inner {
-                AdaptiveInner::Tree(_) => "tree",
-                AdaptiveInner::Csf(_) => "csf",
-                AdaptiveInner::Coo(_) => "coo",
-            },
-            shape: format!("{}", plan.shape),
-            use_csf: plan.use_csf,
-            use_coo: plan.use_coo,
-            predicted_ns: plan.predicted_ns.unwrap_or(-1.0)
-        );
+        let engine = match &inner {
+            AdaptiveInner::Tree(_) => "tree",
+            AdaptiveInner::Csf(_) => "csf",
+            AdaptiveInner::Coo(_) => "coo",
+        };
+        // Uncalibrated plans carry no prediction; the field is omitted.
+        match plan.predicted_ns {
+            Some(ns) => adatm_trace::event!(
+                "backend.dispatch",
+                engine: engine,
+                shape: format!("{}", plan.shape),
+                use_csf: plan.use_csf,
+                use_coo: plan.use_coo,
+                predicted_ns: ns
+            ),
+            None => adatm_trace::event!(
+                "backend.dispatch",
+                engine: engine,
+                shape: format!("{}", plan.shape),
+                use_csf: plan.use_csf,
+                use_coo: plan.use_coo
+            ),
+        }
         AdaptiveBackend { inner, plan }
     }
 

@@ -186,7 +186,7 @@ pub fn complete(tensor: &SparseTensor, opts: &CompletionOptions) -> CompletionRe
         let prev = rmse_history.last().copied();
         rmse_history.push(rmse);
         if let Some(p) = prev {
-            // Mixed absolute/relative criterion: a plain relative test
+            // Mixed absolute/relative stopping rule: a plain relative test
             // never fires once the RMSE itself approaches zero.
             if opts.tol > 0.0 && (p - rmse).abs() <= opts.tol * (1.0 + p) {
                 converged = true;

@@ -400,15 +400,26 @@ impl<'a> Planner<'a> {
             chosen.predicted_ns
         };
         if adatm_trace::enabled() {
+            // Predictions exist only under a calibration profile; an
+            // uncalibrated plan omits the optional `*predicted_ns` fields.
             for (i, c) in candidates.iter().enumerate() {
-                adatm_trace::event!(
-                    "planner.candidate",
-                    rank_pos: i as u64,
-                    label: c.label.as_str(),
-                    cost_units: c.cost.cost_units(beta),
-                    fits_budget: c.fits_budget,
-                    predicted_ns: c.predicted_ns.unwrap_or(-1.0)
-                );
+                match c.predicted_ns {
+                    Some(ns) => adatm_trace::event!(
+                        "planner.candidate",
+                        rank_pos: i as u64,
+                        label: c.label.as_str(),
+                        cost_units: c.cost.cost_units(beta),
+                        fits_budget: c.fits_budget,
+                        predicted_ns: ns
+                    ),
+                    None => adatm_trace::event!(
+                        "planner.candidate",
+                        rank_pos: i as u64,
+                        label: c.label.as_str(),
+                        cost_units: c.cost.cost_units(beta),
+                        fits_budget: c.fits_budget
+                    ),
+                }
             }
             let dispatch = if use_coo {
                 "coo"
@@ -417,19 +428,30 @@ impl<'a> Planner<'a> {
             } else {
                 "tree"
             };
-            adatm_trace::event!(
-                "planner.decision",
-                label: chosen.label.as_str(),
-                dispatch: dispatch,
-                calibrated: self.calibration.is_some(),
-                threads: self.threads as u64,
-                candidates: candidates.len() as u64,
-                estimator_evals: cache.misses as u64,
-                predicted_ns: predicted_ns.unwrap_or(-1.0),
-                csf_predicted_ns: csf_predicted_ns.unwrap_or(-1.0),
-                coo_predicted_ns: coo_predicted_ns.unwrap_or(-1.0),
-                pp_predicted_ns: pp_predicted_ns.unwrap_or(-1.0)
-            );
+            match (predicted_ns, csf_predicted_ns, coo_predicted_ns, pp_predicted_ns) {
+                (Some(ns), Some(csf_ns), Some(coo_ns), Some(pp_ns)) => adatm_trace::event!(
+                    "planner.decision",
+                    label: chosen.label.as_str(),
+                    dispatch: dispatch,
+                    calibrated: true,
+                    threads: self.threads as u64,
+                    candidates: candidates.len() as u64,
+                    estimator_evals: cache.misses as u64,
+                    predicted_ns: ns,
+                    csf_predicted_ns: csf_ns,
+                    coo_predicted_ns: coo_ns,
+                    pp_predicted_ns: pp_ns
+                ),
+                _ => adatm_trace::event!(
+                    "planner.decision",
+                    label: chosen.label.as_str(),
+                    dispatch: dispatch,
+                    calibrated: self.calibration.is_some(),
+                    threads: self.threads as u64,
+                    candidates: candidates.len() as u64,
+                    estimator_evals: cache.misses as u64
+                ),
+            }
         }
         MemoPlan {
             shape: chosen.shape,

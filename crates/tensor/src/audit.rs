@@ -1,12 +1,14 @@
 //! Runtime write-overlap detection for the parallel MTTKRP kernels
 //! (compiled only with the `audit` feature).
 //!
-//! The parallel kernels ([`crate::mttkrp::mttkrp_par`],
-//! [`crate::csf::CsfTensor::mttkrp_root_par`]) are race-free because each
-//! parallel task owns a *distinct* output row: COO groups entries by the
-//! target mode's index, CSF assigns one task per root slice. That
-//! disjointness is a structural claim about the sorted views and the CSF
-//! build — this module checks it at runtime on every parallel MTTKRP,
+//! The scheduled kernels ([`crate::mttkrp::mttkrp_par_into`],
+//! [`crate::csf::CsfTensor::mttkrp_root_into`]) are race-free because each
+//! output row is claimed by exactly one task: COO groups entries by the
+//! target mode's index, CSF by root slice, and a group too large for one
+//! task is split into privatized slot rows merged afterwards. That
+//! disjointness is a structural claim about the sorted views, the CSF
+//! build and the schedule — this module checks it at runtime on every
+//! scheduled MTTKRP,
 //! and keeps global counters so an end-to-end run can prove the detector
 //! actually executed and found zero overlaps.
 
@@ -43,51 +45,6 @@ pub enum ClaimOutcome {
         /// Its declared slot count.
         nslots: usize,
     },
-}
-
-/// Checks that `rows` are pairwise distinct and within `0..nrows`,
-/// recording the outcome in the global counters. Returns the first
-/// violation found, if any.
-pub fn check_disjoint_rows<I>(rows: I, nrows: usize) -> ClaimOutcome
-where
-    I: IntoIterator<Item = usize>,
-{
-    ROW_CHECKS.fetch_add(1, Ordering::Relaxed);
-    let mut claimed = vec![false; nrows];
-    for row in rows {
-        if row >= nrows {
-            ROW_OVERLAPS.fetch_add(1, Ordering::Relaxed);
-            return ClaimOutcome::OutOfBounds { row, nrows };
-        }
-        if claimed[row] {
-            ROW_OVERLAPS.fetch_add(1, Ordering::Relaxed);
-            return ClaimOutcome::Overlap { row };
-        }
-        claimed[row] = true;
-    }
-    ClaimOutcome::Disjoint
-}
-
-/// [`check_disjoint_rows`] that panics on violation, naming the kernel.
-/// The parallel kernels call this after collecting their per-task rows:
-/// an overlap would mean the "one task per output row" argument — and
-/// therefore the absence of a data race — is wrong for this input.
-pub fn assert_disjoint_rows<I>(rows: I, nrows: usize, kernel: &str)
-where
-    I: IntoIterator<Item = usize>,
-{
-    match check_disjoint_rows(rows, nrows) {
-        ClaimOutcome::Disjoint => {}
-        ClaimOutcome::Overlap { row } => {
-            panic!("audit: {kernel}: two parallel tasks claimed output row {row}")
-        }
-        ClaimOutcome::OutOfBounds { row, nrows } => {
-            panic!("audit: {kernel}: claimed row {row} outside output of {nrows} rows")
-        }
-        ClaimOutcome::DegenerateSplit { .. } => {
-            unreachable!("check_disjoint_rows never reports splits")
-        }
-    }
 }
 
 /// Checks the row claims of a *scheduled* kernel: `owned` rows are
@@ -175,7 +132,7 @@ mod tests {
     #[test]
     fn disjoint_rows_pass() {
         let before = overlap_count();
-        assert_eq!(check_disjoint_rows([0usize, 2, 1].into_iter(), 3), ClaimOutcome::Disjoint);
+        assert_eq!(check_schedule_claims([0usize, 2, 1], [], 3), ClaimOutcome::Disjoint);
         assert_eq!(overlap_count(), before);
         assert!(overlap_checks() > 0);
     }
@@ -183,17 +140,14 @@ mod tests {
     #[test]
     fn duplicate_row_is_an_overlap() {
         let before = overlap_count();
-        assert_eq!(
-            check_disjoint_rows([0usize, 1, 1].into_iter(), 4),
-            ClaimOutcome::Overlap { row: 1 }
-        );
+        assert_eq!(check_schedule_claims([0usize, 1, 1], [], 4), ClaimOutcome::Overlap { row: 1 });
         assert_eq!(overlap_count(), before + 1);
     }
 
     #[test]
     fn out_of_bounds_row_is_flagged() {
         assert_eq!(
-            check_disjoint_rows([5usize].into_iter(), 3),
+            check_schedule_claims([5usize], [], 3),
             ClaimOutcome::OutOfBounds { row: 5, nrows: 3 }
         );
     }
@@ -201,6 +155,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "claimed output row")]
     fn assert_form_panics_on_overlap() {
-        assert_disjoint_rows([2usize, 2].into_iter(), 3, "test-kernel");
+        assert_schedule_claims([2usize, 2], [], 3, "test-kernel");
     }
 }

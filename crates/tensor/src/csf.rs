@@ -244,20 +244,6 @@ impl CsfTensor {
         m
     }
 
-    /// Computes the MTTKRP for the root mode, parallel over root slices.
-    ///
-    /// Convenience wrapper over [`CsfTensor::mttkrp_root_into`] that
-    /// builds a schedule for the current thread count and a throwaway
-    /// workspace. Hot paths should cache both.
-    pub fn mttkrp_root_par(&self, factors: &[Mat]) -> Mat {
-        let rank = self.check(factors);
-        let sched = self.root_schedule(rayon::current_num_threads());
-        let mut ws = Workspace::new();
-        let mut m = Mat::zeros(self.dims[self.root_mode()], rank);
-        self.mttkrp_root_into(factors, &sched, &mut ws, &mut m);
-        m
-    }
-
     /// Scheduled parallel root-mode MTTKRP into a caller-provided output.
     ///
     /// `sched` must come from [`CsfTensor::root_schedule`]; `ws` provides
@@ -293,7 +279,7 @@ impl CsfTensor {
             });
             let split =
                 sched.splits().iter().map(|sp| (self.fids[0][sp.group] as usize, sp.nslots));
-            crate::audit::assert_schedule_claims(owned, split, out.nrows(), "mttkrp_root_par");
+            crate::audit::assert_schedule_claims(owned, split, out.nrows(), "mttkrp_root_into");
         }
         let nscr = self.ndim() * rank;
         let (scratch, slots) = ws.ensure(sched.num_tasks() * nscr, sched.num_slots() * rank);
@@ -542,7 +528,9 @@ mod tests {
         let factors = factors_for(&t, 4, 9);
         for mode in 0..4 {
             let c = CsfTensor::for_mode(&t, mode);
-            let p = c.mttkrp_root_par(&factors);
+            let sched = c.root_schedule(4);
+            let mut p = Mat::zeros(t.dims()[mode], 4);
+            c.mttkrp_root_into(&factors, &sched, &mut Workspace::new(), &mut p);
             let s = c.mttkrp_root(&factors);
             assert!(p.max_abs_diff(&s) < 1e-12, "mode {mode}");
         }

@@ -8,7 +8,7 @@
 //! tensor sweeps per CP-ALS iteration — and is the non-memoized reference
 //! point every memoization strategy is measured against.
 //!
-//! Three schedules are provided:
+//! Two schedules are provided:
 //! * [`mttkrp_seq`] — a single pass over entries in storage order;
 //! * [`mttkrp_par_into`] — the scheduled parallel kernel: an
 //!   nnz-balanced [`ModeSchedule`] assigns contiguous group runs (and
@@ -16,10 +16,7 @@
 //!   disjoint `out` row spans directly, with all scratch living in a
 //!   caller-owned [`Workspace`] — zero steady-state heap allocations on
 //!   the sequential path, and per-call allocations bounded by the task
-//!   count (never the nnz) on the parallel path;
-//! * [`mttkrp_par_grouped`] — the legacy one-task-per-group kernel,
-//!   kept as the bench-regression baseline (it allocates two rows per
-//!   group and collapses to near-serial on skewed modes).
+//!   count (never the nnz) on the parallel path.
 
 use crate::coo::SparseTensor;
 use crate::schedule::{ModeSchedule, Task, Workspace};
@@ -40,21 +37,6 @@ pub fn check_factors(t: &SparseTensor, factors: &[Mat]) -> usize {
         assert_eq!(f.ncols(), rank, "factor {d} rank mismatch");
     }
     rank
-}
-
-/// Accumulates the contribution of one entry into `row`.
-///
-/// `row` must hold the running Hadamard product seeded with the entry
-/// value; this multiplies in the factor rows of every mode except `mode`.
-#[inline]
-fn hadamard_rows(row: &mut [f64], factors: &[Mat], t: &SparseTensor, entry: usize, mode: usize) {
-    for (d, f) in factors.iter().enumerate() {
-        if d == mode {
-            continue;
-        }
-        let frow = f.row(t.mode_idx(d)[entry] as usize);
-        kernels::mul_assign(row, frow);
-    }
 }
 
 /// Sequential COO MTTKRP into a fresh `I_mode x R` matrix.
@@ -86,8 +68,8 @@ pub fn mttkrp_seq_into(t: &SparseTensor, factors: &[Mat], mode: usize, out: &mut
 /// no scratch traffic at all); higher orders fuse the value seed into the
 /// first factor pass and the accumulation into the last — `N - 1`
 /// rank-length passes instead of `N + 1`. All paths multiply factor rows
-/// in ascending mode index like [`hadamard_rows`], left-to-right, so
-/// results are bitwise identical to the unfused form.
+/// in ascending mode index, left-to-right, so results are bitwise
+/// identical to the unfused form.
 #[inline]
 fn accumulate_entry(
     t: &SparseTensor,
@@ -155,23 +137,6 @@ fn other_modes4(mode: usize) -> (usize, usize, usize) {
 /// `threads` workers. Backends cache the result per (tensor, mode).
 pub fn schedule_for_view(view: &SortedModeView, threads: usize) -> ModeSchedule {
     ModeSchedule::build(&view.group_weights(), threads)
-}
-
-/// Parallel COO MTTKRP using a prebuilt [`SortedModeView`] for `mode`.
-///
-/// Convenience wrapper over [`mttkrp_par_into`] that builds a schedule
-/// for the current thread count and a throwaway workspace. Hot paths
-/// (backends, CP-ALS) should cache both and call `mttkrp_par_into`.
-///
-/// # Panics
-/// Panics if `view.mode() != mode` or on factor-shape mismatch.
-pub fn mttkrp_par(t: &SparseTensor, factors: &[Mat], mode: usize, view: &SortedModeView) -> Mat {
-    let rank = check_factors(t, factors);
-    let sched = schedule_for_view(view, rayon::current_num_threads());
-    let mut ws = Workspace::new();
-    let mut m = Mat::zeros(t.dims()[mode], rank);
-    mttkrp_par_into(t, factors, mode, view, &sched, &mut ws, &mut m);
-    m
 }
 
 /// One scheduled task's slice of the output: either a contiguous span of
@@ -330,7 +295,7 @@ fn audit_schedule_claims(view: &SortedModeView, sched: &ModeSchedule, nrows: usi
         groups.map(|g| view.key(g) as usize)
     });
     let split = sched.splits().iter().map(|sp| (view.key(sp.group) as usize, sp.nslots));
-    crate::audit::assert_schedule_claims(owned, split, nrows, "mttkrp_par");
+    crate::audit::assert_schedule_claims(owned, split, nrows, "mttkrp_par_into");
 }
 
 /// [`accumulate_entry`]'s first-touch form: *assigns* the contribution
@@ -378,44 +343,6 @@ fn assign_entry(
             kernels::mul_into(orow, srow, row_of(last));
         }
     }
-}
-
-/// The legacy one-task-per-group parallel kernel (pre-scheduling).
-///
-/// Retained as the baseline the bench-regression harness measures the
-/// scheduled kernel against: it materializes the group list, allocates
-/// two `R`-length rows per group, and serializes on hot rows.
-pub fn mttkrp_par_grouped(
-    t: &SparseTensor,
-    factors: &[Mat],
-    mode: usize,
-    view: &SortedModeView,
-) -> Mat {
-    let rank = check_factors(t, factors);
-    assert_eq!(view.mode(), mode, "sorted view is for a different mode");
-    let mut m = Mat::zeros(t.dims()[mode], rank);
-    let groups: Vec<(u32, &[u32])> = view.iter().collect();
-    let rows: Vec<(usize, Vec<f64>)> = groups
-        .par_iter()
-        .map(|&(key, grp)| {
-            let mut acc = vec![0.0f64; rank];
-            let mut scratch = vec![0.0f64; rank];
-            for &e in grp {
-                let k = e as usize;
-                scratch.iter_mut().for_each(|s| *s = t.vals()[k]);
-                hadamard_rows(&mut scratch, factors, t, k, mode);
-                kernels::add_assign(&mut acc, &scratch);
-            }
-            (key as usize, acc)
-        })
-        .collect();
-    // Prove the "one group per output row" claim the parallelism rests on.
-    #[cfg(feature = "audit")]
-    crate::audit::assert_disjoint_rows(rows.iter().map(|&(r, _)| r), m.nrows(), "mttkrp_par");
-    for (row_idx, acc) in rows {
-        m.row_mut(row_idx).copy_from_slice(&acc);
-    }
-    m
 }
 
 /// Total fused multiply-add count of one COO MTTKRP in one mode
@@ -467,7 +394,9 @@ mod tests {
         let factors = factors_for(&t, 4, 20);
         for mode in 0..4 {
             let view = SortedModeView::build(&t, mode);
-            let p = mttkrp_par(&t, &factors, mode, &view);
+            let sched = schedule_for_view(&view, 4);
+            let mut p = Mat::zeros(t.dims()[mode], 4);
+            mttkrp_par_into(&t, &factors, mode, &view, &sched, &mut Workspace::new(), &mut p);
             let s = mttkrp_seq(&t, &factors, mode);
             assert!(p.max_abs_diff(&s) < 1e-12, "mode {mode}");
         }
@@ -512,7 +441,9 @@ mod tests {
         let t = toy4();
         let factors = factors_for(&t, 2, 3);
         let view = SortedModeView::build(&t, 1);
-        let _ = mttkrp_par(&t, &factors, 0, &view);
+        let sched = schedule_for_view(&view, 1);
+        let mut out = Mat::zeros(t.dims()[0], 2);
+        mttkrp_par_into(&t, &factors, 0, &view, &sched, &mut Workspace::new(), &mut out);
     }
 
     #[test]
@@ -572,18 +503,6 @@ mod tests {
         mttkrp_par_into(&t, &factors, 0, &view, &sched, &mut ws, &mut b);
         // Same schedule, same workspace: bitwise-identical output.
         assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn grouped_legacy_matches_seq() {
-        let t = hot_row_tensor();
-        let factors = factors_for(&t, 3, 60);
-        for mode in 0..3 {
-            let view = SortedModeView::build(&t, mode);
-            let p = mttkrp_par_grouped(&t, &factors, mode, &view);
-            let s = mttkrp_seq(&t, &factors, mode);
-            assert!(p.max_abs_diff(&s) < 1e-12, "mode {mode}");
-        }
     }
 
     #[test]

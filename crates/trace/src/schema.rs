@@ -113,7 +113,7 @@ pub const EVENTS: &[EventSchema] = &[
             req("shape", Str),
             req("use_csf", Bool),
             req("use_coo", Bool),
-            req("predicted_ns", F64),
+            opt("predicted_ns", F64),
         ],
     },
     EventSchema {
@@ -159,7 +159,7 @@ pub const EVENTS: &[EventSchema] = &[
             req("label", Str),
             req("cost_units", F64),
             req("fits_budget", Bool),
-            req("predicted_ns", F64),
+            opt("predicted_ns", F64),
         ],
     },
     EventSchema {
@@ -172,10 +172,10 @@ pub const EVENTS: &[EventSchema] = &[
             req("threads", U64),
             req("candidates", U64),
             req("estimator_evals", U64),
-            req("predicted_ns", F64),
-            req("csf_predicted_ns", F64),
-            req("coo_predicted_ns", F64),
-            req("pp_predicted_ns", F64),
+            opt("predicted_ns", F64),
+            opt("csf_predicted_ns", F64),
+            opt("coo_predicted_ns", F64),
+            opt("pp_predicted_ns", F64),
         ],
     },
     EventSchema {

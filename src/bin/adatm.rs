@@ -530,6 +530,23 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
+    if algo == Some("complete") {
+        // Completion fits observed entries directly, not through an
+        // MTTKRP backend, so no backend is planned or built.
+        let reg = opt_parse(&opts, "reg", 0.1f64)?;
+        let o = CompletionOptions::new(rank).max_iters(iters).tol(tol).reg(reg).seed(seed);
+        let res = complete(&t, &o);
+        outln!(
+            "complete: {} iters, train RMSE {:.5}, converged {}",
+            res.iters,
+            res.final_rmse(),
+            res.converged
+        );
+        if let Some(dir) = opts.get("out") {
+            write_factors(dir, &res.model)?;
+        }
+        return Ok(());
+    }
     // The planner only consults ADATM_PROFILE on the adaptive path; a
     // set-but-broken profile there is a typed usage error, not a silent
     // fallback to analytic costs.
@@ -638,20 +655,6 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 "ncp: {} iters, fit {:.5}, converged {}",
                 res.iters,
                 res.final_fit(),
-                res.converged
-            );
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
-        }
-        Some("complete") => {
-            let reg = opt_parse(&opts, "reg", 0.1f64)?;
-            let o = CompletionOptions::new(rank).max_iters(iters).tol(tol).reg(reg).seed(seed);
-            let res = complete(&t, &o);
-            outln!(
-                "complete: {} iters, train RMSE {:.5}, converged {}",
-                res.iters,
-                res.final_rmse(),
                 res.converged
             );
             if let Some(dir) = opts.get("out") {

@@ -193,16 +193,24 @@ fn plan_prints_candidates() {
         .arg(&tns)
         .status()
         .unwrap();
+    let trace = dir.join("plan.ndjson");
     let out = adatm()
         .args(["plan"])
         .arg(&tns)
-        .args(["--rank", "8", "--estimator", "exact"])
+        .args(["--rank", "8", "--estimator", "exact", "--trace"])
+        .arg(&trace)
+        .env_remove("ADATM_PROFILE")
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("chosen"), "{text}");
     assert!(text.contains("bdt"), "{text}");
+    // An uncalibrated plan has no predictions: no `*predicted_ns` field,
+    // in particular no negative placeholder.
+    let trace = std::fs::read_to_string(&trace).unwrap();
+    assert!(trace.contains("\"planner.decision\""), "{trace}");
+    assert!(!trace.contains("predicted_ns"), "{trace}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -271,7 +279,10 @@ fn decompose_ncp_and_cpopt_run() {
             .output()
             .unwrap();
         assert!(out.status.success(), "{algo}: {}", String::from_utf8_lossy(&out.stderr));
-        assert!(String::from_utf8_lossy(&out.stdout).contains(algo));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(algo));
+        // Completion never touches an MTTKRP backend, so none is built.
+        assert_eq!(text.contains("backend:"), algo != "complete", "{algo}: {text}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

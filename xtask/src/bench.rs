@@ -5,7 +5,7 @@
 //! with an equally small line-oriented parser (the workspace is offline,
 //! so no serde) and diffs two snapshots with a configurable tolerance.
 //! Pure functions over strings, unit-tested without touching the
-//! filesystem — same philosophy as [`crate::lints`].
+//! filesystem — same philosophy as [`crate::trace`].
 
 /// One measurement row from a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,16 +54,6 @@ pub fn parse_records(json: &str) -> Vec<BenchRecord> {
 /// comparable against a full run).
 pub fn parse_smoke(json: &str) -> bool {
     json.lines().any(|l| l.contains("\"smoke\": true"))
-}
-
-/// The headline `coo_sched_speedup` summary figure, if present.
-pub fn parse_speedup(json: &str) -> Option<f64> {
-    let line = json.lines().find(|l| l.contains("coo_sched_speedup"))?;
-    let tag = "\"coo_sched_speedup\": ";
-    let start = line.find(tag)? + tag.len();
-    let num: String =
-        line[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-    num.parse().ok()
 }
 
 /// A collision-free default snapshot name for `date`: `BENCH_<date>.json`
@@ -130,7 +120,7 @@ mod tests {
   "date": "2026-08-07",
   "smoke": false,
   "threads": 8,
-  "summary": { "coo_sched_speedup": 1.523 },
+  "summary": { "pp_sweep_speedup": 2.310, "pp_fit_diff": 1.000e-6 },
   "records": [
     { "kernel": "mttkrp", "backend": "coo-sched-m0", "tensor": "deli4d", "threads": 8, "ns_per_call": 1000, "allocs_per_call": 34 },
     { "kernel": "alloc-gate", "backend": "coo-sched-seq", "tensor": "deli4d", "threads": 1, "ns_per_call": 900, "allocs_per_call": 0 }
@@ -138,13 +128,12 @@ mod tests {
 }"#;
 
     #[test]
-    fn parses_records_and_summary() {
+    fn parses_records_and_smoke_flag() {
         let recs = parse_records(SNAPSHOT);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].key, "mttkrp/coo-sched-m0/deli4d/t8");
         assert_eq!(recs[0].ns_per_call, 1000);
         assert!(!parse_smoke(SNAPSHOT));
-        assert_eq!(parse_speedup(SNAPSHOT), Some(1.523));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 mod analyze;
 mod bench;
-mod lints;
 mod trace;
 
 use std::path::{Path, PathBuf};
@@ -212,9 +211,6 @@ fn bench_cmd(mut args: impl Iterator<Item = String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(speedup) = bench::parse_speedup(&new_json) {
-        println!("xtask bench: coo_sched_speedup = {speedup:.2}x");
-    }
 
     let Some((prev_name, prev_json)) = previous else {
         println!("xtask bench: no previous BENCH_*.json snapshot; baseline recorded");

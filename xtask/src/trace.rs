@@ -9,8 +9,7 @@
 //! name must be declared, every required field must be present, no
 //! undeclared field may appear, and every value's JSON shape must match
 //! the declared [`FieldType`]. Pure functions over strings, unit-tested
-//! without the filesystem — same philosophy as [`crate::bench`] and
-//! [`crate::lints`].
+//! without the filesystem — same philosophy as [`crate::bench`].
 
 use adatm_trace::schema::{self, FieldSpec, FieldType};
 
@@ -329,10 +328,10 @@ mod tests {
             run_open(0),
             "{\"ev\": \"span_open\", \"seq\": 1, \"span\": \"cpals.iter\", \"iter\": 0}".into(),
             "{\"ev\": \"planner.decision\", \"seq\": 2, \"label\": \"bdt\", \
-             \"dispatch\": \"csf\", \"calibrated\": false, \"threads\": 8, \"candidates\": 12, \
+             \"dispatch\": \"csf\", \"calibrated\": true, \"threads\": 8, \"candidates\": 12, \
              \"estimator_evals\": 40, \"predicted_ns\": 1.500000e6, \
              \"csf_predicted_ns\": 1.500000e6, \"coo_predicted_ns\": 2.000000e6, \
-             \"pp_predicted_ns\": -1.000000e0}"
+             \"pp_predicted_ns\": 9.000000e5}"
                 .into(),
             stage(3, ", \"mode\": 1"),
             "{\"ev\": \"span_close\", \"seq\": 4, \"span\": \"cpals.iter\", \"iter\": 0, \
@@ -429,5 +428,22 @@ mod tests {
         let trace = format!("{}\n\n{}\n", stage(0, ""), stage(1, ""));
         let s = validate(&trace).expect("valid");
         assert_eq!(s.events, 2);
+    }
+
+    #[test]
+    fn uncalibrated_plan_trace_validates_without_predictions() {
+        // What `adatm plan --trace` emits without a profile: every
+        // planner candidate, the decision and the backend dispatch.
+        let t = adatm_tensor::gen::zipf_tensor(&[20, 30, 25, 15], 1500, &[0.8; 4], 1);
+        let sink = adatm_trace::install_memory();
+        let planner = adatm_model::Planner::new(&t, 8);
+        let b = adatm_core::AdaptiveBackend::from_planner(&t, 8, planner);
+        adatm_trace::shutdown();
+        assert!(b.memo_plan().predicted_ns.is_none());
+        let trace = sink.lines().join("\n");
+        let summary = validate(&trace).unwrap_or_else(|e| panic!("{e:?}"));
+        assert_eq!(summary.decisions, 1);
+        assert!(trace.contains("\"backend.dispatch\""), "{trace}");
+        assert!(!trace.contains("predicted_ns"), "uncalibrated trace carries a prediction");
     }
 }
