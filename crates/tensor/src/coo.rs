@@ -1,5 +1,6 @@
 //! Coordinate-format (COO) sparse tensors, stored structure-of-arrays.
 
+use rayon::prelude::*;
 use std::fmt;
 
 /// Index type for mode coordinates.
@@ -217,7 +218,39 @@ impl SparseTensor {
 
     /// Computes (without applying) the stable permutation that sorts
     /// entries lexicographically by `mode_order`.
+    ///
+    /// When the coordinates of `mode_order` fit one `u64` (mode `d` takes
+    /// the bit width of `dims[d] - 1`), entries are sorted as packed
+    /// `(key, position)` pairs, in parallel; the position tie-break makes
+    /// the unstable sort return exactly the stable order. Wider keys fall
+    /// back to a stable comparator sort over the index columns.
     pub fn sort_permutation(&self, mode_order: &[usize]) -> Vec<u32> {
+        self.packed_sort_permutation(mode_order)
+            .unwrap_or_else(|| self.comparator_sort_permutation(mode_order))
+    }
+
+    /// The packed-key sort, or `None` when the key needs more than 64 bits.
+    fn packed_sort_permutation(&self, mode_order: &[usize]) -> Option<Vec<u32>> {
+        let widths: Vec<u32> = mode_order
+            .iter()
+            .map(|&d| usize::BITS - self.dims[d].saturating_sub(1).leading_zeros())
+            .collect();
+        if widths.iter().sum::<u32>() > u64::BITS {
+            return None;
+        }
+        let mut keyed: Vec<(u64, u32)> = (0..self.nnz() as u32).map(|k| (0, k)).collect();
+        for (&d, &w) in mode_order.iter().zip(&widths) {
+            for ((key, _), &i) in keyed.iter_mut().zip(&self.inds[d]) {
+                // `w` < 64 (an index is 32 bits), so the shift never overflows.
+                *key = (*key << w) | u64::from(i);
+            }
+        }
+        keyed.par_sort_unstable();
+        Some(keyed.into_iter().map(|(_, k)| k).collect())
+    }
+
+    /// The stable comparator sort, for keys wider than 64 bits.
+    fn comparator_sort_permutation(&self, mode_order: &[usize]) -> Vec<u32> {
         let mut perm: Vec<u32> = (0..self.nnz() as u32).collect();
         let inds = &self.inds;
         perm.sort_by(|&a, &b| {
@@ -328,6 +361,97 @@ pub(crate) fn gather_f64(src: &[f64], perm: &[u32]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A tensor over `dims` from `(coords, value)` draws; `coords` are
+    /// reduced into range, so small ranges give many duplicates.
+    fn drawn(dims: &[usize], entries: &[(Vec<u64>, f64)]) -> SparseTensor {
+        let inds = (0..dims.len())
+            .map(|d| entries.iter().map(|(c, _)| (c[d] % dims[d] as u64) as Idx).collect())
+            .collect();
+        SparseTensor::new(dims.to_vec(), inds, entries.iter().map(|e| e.1).collect())
+    }
+
+    /// Every full mode order and every prefix of it, for `n` modes.
+    fn orders(n: usize, rotate: usize) -> Vec<Vec<usize>> {
+        let full: Vec<usize> = (0..n).map(|d| (d + rotate) % n).collect();
+        let mut rev = full.clone();
+        rev.reverse();
+        (1..=n).flat_map(|len| [full[..len].to_vec(), rev[..len].to_vec()]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_packed_sort_matches_comparator_sort(
+            dims in proptest::collection::vec(1usize..7, 1..5),
+            entries in proptest::collection::vec(
+                (proptest::collection::vec(0u64..u64::MAX, 4), -1.0f64..1.0),
+                0..200,
+            ),
+            rotate in 0usize..4,
+        ) {
+            let t = drawn(&dims, &entries);
+            for order in orders(dims.len(), rotate) {
+                let want = t.comparator_sort_permutation(&order);
+                let got = t.packed_sort_permutation(&order);
+                prop_assert!(got.as_ref() == Some(&want), "{order:?}: {got:?} != {want:?}");
+            }
+        }
+
+        #[test]
+        fn prop_dedup_sum_is_bitwise_the_comparator_sort_sum(
+            dims in proptest::collection::vec(1usize..5, 2..5),
+            entries in proptest::collection::vec(
+                (proptest::collection::vec(0u64..u64::MAX, 4), -1.0f64..1.0),
+                0..300,
+            ),
+        ) {
+            let t = drawn(&dims, &entries);
+            let mut got = t.clone();
+            got.dedup_sum();
+            // Order stably with the comparator first: the dedup's own sort
+            // is then the identity, and duplicates are summed in the order
+            // the comparator sort gives them.
+            let order: Vec<usize> = (0..dims.len()).collect();
+            let mut want = t.clone();
+            want.apply_permutation(&t.comparator_sort_permutation(&order));
+            want.dedup_sum();
+            let bits = |t: &SparseTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn packed_sort_covers_keys_of_exactly_64_bits() {
+        // 32 + 32 key bits: the widest key that still packs.
+        let dims = [1usize << 32, (1 << 31) + 1];
+        let top = [0u64, 1, 1 << 31, u32::MAX as u64 - 1, u32::MAX as u64];
+        let entries: Vec<(Vec<u64>, f64)> = (0..60)
+            .map(|k| (vec![top[k % 5], top[(k / 5) % 4] % dims[1] as u64], k as f64 * 0.1))
+            .collect();
+        let t = drawn(&dims, &entries);
+        for order in [vec![0, 1], vec![1, 0], vec![0], vec![1]] {
+            let want = t.comparator_sort_permutation(&order);
+            assert_eq!(t.packed_sort_permutation(&order), Some(want.clone()), "{order:?}");
+            assert_eq!(t.sort_permutation(&order), want);
+        }
+    }
+
+    #[test]
+    fn keys_of_65_bits_take_the_comparator_sort() {
+        let dims = [1usize << 32, 1 << 32, 2];
+        let entries: Vec<(Vec<u64>, f64)> = (0..40u64)
+            .map(|k| (vec![((k * 7) % 3) << 31, u32::MAX as u64 - k % 4, k % 2], k as f64))
+            .collect();
+        let t = drawn(&dims, &entries);
+        assert_eq!(t.packed_sort_permutation(&[0, 1, 2]), None);
+        assert_eq!(t.sort_permutation(&[0, 1, 2]), t.comparator_sort_permutation(&[0, 1, 2]));
+        // A prefix of the same modes fits again.
+        assert!(t.packed_sort_permutation(&[0, 2]).is_some());
+    }
 
     #[test]
     fn try_from_entries_reports_arity_and_overflow() {

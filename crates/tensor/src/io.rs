@@ -7,8 +7,9 @@
 //! little-endian dump used by the harness to cache generated datasets.
 
 use crate::coo::{Idx, SparseTensor};
+use rayon::prelude::*;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening the binary format.
@@ -55,70 +56,269 @@ impl From<io::Error> for IoError {
     }
 }
 
+/// Bytes of `.tns` text per parse block. A block grows past this only to
+/// hold a line longer than itself; at most `current_num_threads()` blocks
+/// are alive at once.
+const BLOCK: usize = 4 << 20;
+
 /// Reads a FROSTT `.tns` tensor from a reader.
 ///
 /// The tensor order is inferred from the first data line; mode sizes are
 /// the per-mode maxima of the (1-based) indices. Duplicate coordinates are
 /// preserved (call [`SparseTensor::dedup_sum`] to canonicalize).
+///
+/// The text is read in fixed-size blocks cut at line ends, and up to
+/// `current_num_threads()` blocks are parsed at once. Results are
+/// appended in file order, and errors name the global line number: the
+/// earliest faulty line in the file is reported, whatever the thread
+/// count.
 pub fn read_tns<R: Read>(reader: R) -> Result<SparseTensor, IoError> {
-    let buf = BufReader::new(reader);
-    let mut inds: Vec<Vec<Idx>> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    let mut dims: Vec<usize> = Vec::new();
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
+    read_tns_blocks(reader, BLOCK)
+}
+
+/// [`read_tns`] with an explicit block size (tests shrink it so lines
+/// straddle block boundaries).
+fn read_tns_blocks<R: Read>(mut reader: R, block: usize) -> Result<SparseTensor, IoError> {
+    // One text buffer per worker, reused by every batch.
+    let mut texts: Vec<Vec<u8>> = vec![Vec::new(); rayon::current_num_threads()];
+    let mut tns = TnsBuilder::default();
+    let mut carry = Vec::new();
+    let mut fill = Fill::More;
+    while matches!(fill, Fill::More) {
+        let mut filled = 0;
+        for text in &mut texts {
+            fill = next_block(&mut reader, &mut carry, text, block);
+            filled += 1;
+            if !matches!(fill, Fill::More) {
+                break;
+            }
+        }
+        let parsed: Vec<TnsBlock> =
+            texts[..filled].par_iter().map(|t| TnsBlock::parse(t)).collect();
+        for b in parsed {
+            tns.append(b)?;
+        }
+        if let Fill::Failed(e) = fill {
+            return Err(IoError::Io(e));
+        }
+    }
+    tns.finish()
+}
+
+/// What the reader has left after a block.
+enum Fill {
+    More,
+    Eof,
+    Failed(io::Error),
+}
+
+/// Reads the next block into `text`: the tail `carry`ed over from the
+/// previous block, then bytes up to `block` in total, cut after the last
+/// `\n` (the rest becomes the next carry). A block holding no `\n` keeps
+/// reading, so a line is never split. At end of input the whole remainder
+/// is the block. On a read error the block keeps only the complete lines
+/// read before it.
+fn next_block<R: Read>(
+    reader: &mut R,
+    carry: &mut Vec<u8>,
+    text: &mut Vec<u8>,
+    block: usize,
+) -> Fill {
+    text.clear();
+    text.append(carry);
+    let mut want = block.saturating_sub(text.len()).max(1);
+    loop {
+        text.reserve(want);
+        match reader.by_ref().take(want as u64).read_to_end(text) {
+            Ok(got) if got < want => return Fill::Eof,
+            Ok(_) => {}
+            Err(e) => {
+                let keep = text.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+                text.truncate(keep);
+                return Fill::Failed(e);
+            }
+        }
+        if let Some(p) = text.iter().rposition(|&b| b == b'\n') {
+            carry.extend_from_slice(&text[p + 1..]);
+            text.truncate(p + 1);
+            return Fill::More;
+        }
+        want = block.max(1);
+    }
+}
+
+/// Why a `.tns` line was rejected; [`LineFault::at`] turns it into the
+/// error for its global line number.
+enum LineFault {
+    Utf8,
+    TooFewFields,
+    Arity { expected: usize, found: usize },
+    BadIndex(String),
+    ZeroIndex,
+    IndexOverflow,
+    BadValue,
+    NonFinite(String),
+}
+
+impl LineFault {
+    /// The error for this fault on 1-based line `line`.
+    fn at(self, line: usize) -> IoError {
+        match self {
+            LineFault::Utf8 => IoError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )),
+            LineFault::TooFewFields => IoError::Parse(format!("line {line}: too few fields")),
+            LineFault::Arity { expected, found } => {
+                IoError::Parse(format!("line {line}: expected {expected} indices, found {found}"))
+            }
+            LineFault::BadIndex(f) => IoError::Parse(format!("line {line}: bad index '{f}'")),
+            LineFault::ZeroIndex => {
+                IoError::Parse(format!("line {line}: indices are 1-based, found 0"))
+            }
+            LineFault::IndexOverflow => IoError::Parse(format!("line {line}: index overflow")),
+            LineFault::BadValue => IoError::Parse(format!("line {line}: bad value")),
+            LineFault::NonFinite(v) => {
+                IoError::NonFinite(format!("line {line}: value '{v}' is not finite"))
+            }
+        }
+    }
+}
+
+/// One parsed block: its own columns, dims and first-data-line arity.
+/// Line numbers are 0-based within the block.
+#[derive(Default)]
+struct TnsBlock {
+    /// `\n`-terminated lines in the block.
+    lines: usize,
+    /// Line and index count of the block's first data line.
+    arity: Option<(usize, usize)>,
+    inds: Vec<Vec<Idx>>,
+    dims: Vec<usize>,
+    vals: Vec<f64>,
+    /// The block's first faulty line; parsing stops there.
+    fault: Option<(usize, LineFault)>,
+}
+
+impl TnsBlock {
+    fn parse(text: &[u8]) -> TnsBlock {
+        let mut b = TnsBlock::default();
+        let mut fields: Vec<&str> = Vec::new();
+        for (lineno, raw) in text.split(|&c| c == b'\n').enumerate() {
+            // `split` yields one piece more than there are `\n`s, so after
+            // the last piece this counts the block's terminated lines.
+            b.lines = lineno;
+            if let Err(fault) = b.parse_line(lineno, raw, &mut fields) {
+                b.fault = Some((lineno, fault));
+                break;
+            }
+        }
+        b
+    }
+
+    fn parse_line<'t>(
+        &mut self,
+        lineno: usize,
+        raw: &'t [u8],
+        fields: &mut Vec<&'t str>,
+    ) -> Result<(), LineFault> {
+        let line = std::str::from_utf8(raw).map_err(|_| LineFault::Utf8)?;
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
-            continue;
+            return Ok(());
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
+        fields.clear();
+        fields.extend(line.split_whitespace());
         if fields.len() < 2 {
-            return Err(IoError::Parse(format!("line {}: too few fields", lineno + 1)));
+            return Err(LineFault::TooFewFields);
         }
         let n = fields.len() - 1;
-        if inds.is_empty() {
-            inds = vec![Vec::new(); n];
-            dims = vec![0; n];
-        } else if n != inds.len() {
-            return Err(IoError::Parse(format!(
-                "line {}: expected {} indices, found {n}",
-                lineno + 1,
-                inds.len()
-            )));
+        match self.arity {
+            None => {
+                self.arity = Some((lineno, n));
+                self.inds = vec![Vec::new(); n];
+                self.dims = vec![0; n];
+            }
+            Some((_, expected)) if expected != n => {
+                return Err(LineFault::Arity { expected, found: n });
+            }
+            Some(_) => {}
         }
-        for (d, f) in fields[..n].iter().enumerate() {
-            let one_based: u64 = f
-                .parse()
-                .map_err(|_| IoError::Parse(format!("line {}: bad index '{f}'", lineno + 1)))?;
+        let (idx_fields, val_field) = fields.split_at(n);
+        for ((f, col), dim) in idx_fields.iter().zip(&mut self.inds).zip(&mut self.dims) {
+            let one_based: u64 = f.parse().map_err(|_| LineFault::BadIndex(f.to_string()))?;
             if one_based == 0 {
-                return Err(IoError::Parse(format!(
-                    "line {}: indices are 1-based, found 0",
-                    lineno + 1
-                )));
+                return Err(LineFault::ZeroIndex);
             }
             let zero_based = one_based - 1;
             if zero_based > Idx::MAX as u64 {
-                return Err(IoError::Parse(format!("line {}: index overflow", lineno + 1)));
+                return Err(LineFault::IndexOverflow);
             }
-            inds[d].push(zero_based as Idx);
-            dims[d] = dims[d].max(one_based as usize);
+            col.push(zero_based as Idx);
+            *dim = (*dim).max(one_based as usize);
         }
-        let v: f64 = fields[n]
-            .parse()
-            .map_err(|_| IoError::Parse(format!("line {}: bad value", lineno + 1)))?;
+        let v_field = val_field.first().copied().unwrap_or("");
+        let v: f64 = v_field.parse().map_err(|_| LineFault::BadValue)?;
         if !v.is_finite() {
-            return Err(IoError::NonFinite(format!(
-                "line {}: value '{}' is not finite",
-                lineno + 1,
-                fields[n]
-            )));
+            return Err(LineFault::NonFinite(v_field.to_string()));
         }
-        vals.push(v);
+        self.vals.push(v);
+        Ok(())
     }
-    if inds.is_empty() {
-        return Err(IoError::Parse("no data lines found".into()));
+}
+
+/// The tensor assembled so far from blocks appended in file order.
+#[derive(Default)]
+struct TnsBuilder {
+    /// Lines in the blocks appended so far.
+    lines: usize,
+    arity: Option<usize>,
+    inds: Vec<Vec<Idx>>,
+    dims: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl TnsBuilder {
+    /// Appends the next block, or returns the file's earliest error if
+    /// the block holds one: its own fault, or a first data line whose
+    /// arity differs from the file's first data line.
+    fn append(&mut self, b: TnsBlock) -> Result<(), IoError> {
+        if let Some((line, found)) = b.arity {
+            match self.arity {
+                None => {
+                    self.arity = Some(found);
+                    self.inds = vec![Vec::new(); found];
+                    self.dims = vec![0; found];
+                }
+                Some(expected) if expected != found => {
+                    if !matches!(b.fault, Some((f, _)) if f < line) {
+                        let fault = LineFault::Arity { expected, found };
+                        return Err(fault.at(self.lines + line + 1));
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some((line, fault)) = b.fault {
+            return Err(fault.at(self.lines + line + 1));
+        }
+        for (col, part) in self.inds.iter_mut().zip(&b.inds) {
+            col.extend_from_slice(part);
+        }
+        for (dim, &part) in self.dims.iter_mut().zip(&b.dims) {
+            *dim = (*dim).max(part);
+        }
+        self.vals.extend_from_slice(&b.vals);
+        self.lines += b.lines;
+        Ok(())
     }
-    Ok(SparseTensor::new(dims, inds, vals))
+
+    fn finish(self) -> Result<SparseTensor, IoError> {
+        if self.arity.is_none() {
+            return Err(IoError::Parse("no data lines found".into()));
+        }
+        Ok(SparseTensor::new(self.dims, self.inds, self.vals))
+    }
 }
 
 /// Reads a `.tns` file from disk.
@@ -242,6 +442,224 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::BufRead;
+
+    /// The line-at-a-time reader the block-parallel parser replaced, kept
+    /// verbatim as the oracle for its output and errors.
+    fn read_tns_lines<R: Read>(reader: R) -> Result<SparseTensor, IoError> {
+        let buf = BufReader::new(reader);
+        let mut inds: Vec<Vec<Idx>> = Vec::new();
+        let mut vals: Vec<f64> = Vec::new();
+        let mut dims: Vec<usize> = Vec::new();
+        for (lineno, line) in buf.lines().enumerate() {
+            let line = line?;
+            let line = line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            if fields.len() < 2 {
+                return Err(IoError::Parse(format!("line {}: too few fields", lineno + 1)));
+            }
+            let n = fields.len() - 1;
+            if inds.is_empty() {
+                inds = vec![Vec::new(); n];
+                dims = vec![0; n];
+            } else if n != inds.len() {
+                return Err(IoError::Parse(format!(
+                    "line {}: expected {} indices, found {n}",
+                    lineno + 1,
+                    inds.len()
+                )));
+            }
+            for (d, f) in fields[..n].iter().enumerate() {
+                let one_based: u64 = f
+                    .parse()
+                    .map_err(|_| IoError::Parse(format!("line {}: bad index '{f}'", lineno + 1)))?;
+                if one_based == 0 {
+                    return Err(IoError::Parse(format!(
+                        "line {}: indices are 1-based, found 0",
+                        lineno + 1
+                    )));
+                }
+                let zero_based = one_based - 1;
+                if zero_based > Idx::MAX as u64 {
+                    return Err(IoError::Parse(format!("line {}: index overflow", lineno + 1)));
+                }
+                inds[d].push(zero_based as Idx);
+                dims[d] = dims[d].max(one_based as usize);
+            }
+            let v: f64 = fields[n]
+                .parse()
+                .map_err(|_| IoError::Parse(format!("line {}: bad value", lineno + 1)))?;
+            if !v.is_finite() {
+                return Err(IoError::NonFinite(format!(
+                    "line {}: value '{}' is not finite",
+                    lineno + 1,
+                    fields[n]
+                )));
+            }
+            vals.push(v);
+        }
+        if inds.is_empty() {
+            return Err(IoError::Parse("no data lines found".into()));
+        }
+        Ok(SparseTensor::new(dims, inds, vals))
+    }
+
+    /// Same tensor (values bit for bit), or the same error variant,
+    /// kind and message.
+    fn same_outcome(
+        got: &Result<SparseTensor, IoError>,
+        want: &Result<SparseTensor, IoError>,
+    ) -> Result<(), String> {
+        let bits = |t: &SparseTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let same = match (got, want) {
+            (Ok(a), Ok(b)) => a == b && bits(a) == bits(b),
+            (Err(IoError::Io(a)), Err(IoError::Io(b))) => {
+                a.kind() == b.kind() && a.to_string() == b.to_string()
+            }
+            (Err(IoError::Parse(a)), Err(IoError::Parse(b)))
+            | (Err(IoError::NonFinite(a)), Err(IoError::NonFinite(b))) => a == b,
+            _ => false,
+        };
+        if same {
+            Ok(())
+        } else {
+            Err(format!("got {got:?}, want {want:?}"))
+        }
+    }
+
+    /// Field separators, including non-ASCII whitespace.
+    const SEPS: [&str; 5] = [" ", "\t", "  ", "\u{a0}", "\u{3000}"];
+    /// Non-finite spellings `f64::from_str` accepts.
+    const NON_FINITE: [&str; 4] = ["nan", "inf", "-inf", "Infinity"];
+
+    /// Renders one `.tns` line (without its `\n`) from drawn numbers.
+    /// Kinds 0..=39 are well-formed (data, comments, blanks, CRLF, `+`
+    /// signs, tabs, a lone `\r`); 40..=48 each make one kind of malformed line.
+    fn render_line(kind: u32, i: u64, j: u64, k: u64, v: f64, sep: usize) -> Vec<u8> {
+        let s = SEPS[sep % SEPS.len()];
+        let data = format!("{i}{s}{j}{s}{k}{s}{v}");
+        let line = match kind {
+            0..=19 => data,
+            20..=23 => format!("{data}\r"),
+            24..=26 => format!("# comment {i} \u{e9}\u{2713}"),
+            27..=29 => String::new(),
+            30 => format!("{s}\t "),
+            31..=33 => format!("{data} # trailing {j}"),
+            34..=35 => format!("+{i}{s}{j}{s}+{k}{s}+{v}"),
+            36..=37 => format!("{s}{data}{s}"),
+            38..=39 => format!("{i}{s}{j}\r{k}{s}{v}"),
+            40 => format!("{i}"),
+            41 => format!("{i}{s}{j}{s}{k}{s}{i}{s}{v}"),
+            42 => format!("0{s}{j}{s}{k}{s}{v}"),
+            43 => format!("{i}{s}{j}{s}{k}{s}{}", NON_FINITE[sep % NON_FINITE.len()]),
+            44 => format!("{i}{s}{j}{s}{k}{s}abc"),
+            45 => format!("{i}{s}x{j}{s}{k}{s}{v}"),
+            46 => format!("{i}{s}4294967297{s}{k}{s}{v}"),
+            47 => format!("{i}{s}x{s}{v}"),
+            _ => return [data.as_bytes(), b" \xff\xfe"].concat(),
+        };
+        line.into_bytes()
+    }
+
+    /// Runs `f` with `current_num_threads()` reporting `threads`.
+    fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("infallible").install(f)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_block_parser_matches_line_reader(
+            lines in proptest::collection::vec(
+                (0u32..49, (1u64..9, 1u64..9, 1u64..9), -4.0f64..4.0, 0usize..20),
+                0..40,
+            ),
+            // Mostly well-formed files: errors past the first stop the
+            // comparison, so rare malformed lines keep the rest covered.
+            clean in (0u32..4).prop_map(|c| c > 0),
+            final_newline in (0u32..2).prop_map(|b| b == 1),
+            block in 1usize..48,
+        ) {
+            let mut text = Vec::new();
+            for (n, &(kind, (i, j, k), v, sep)) in lines.iter().enumerate() {
+                let kind = if clean { kind % 40 } else { kind };
+                text.extend(render_line(kind, i, j, k, v, sep));
+                if n + 1 < lines.len() || final_newline {
+                    text.push(b'\n');
+                }
+            }
+            let want = read_tns_lines(&text[..]);
+            for threads in [1, 3] {
+                let got = with_threads(threads, || read_tns_blocks(&text[..], block));
+                same_outcome(&got, &want)
+                    .map_err(|m| TestCaseError::Fail(format!("{threads}t block {block}: {m}")))?;
+            }
+            same_outcome(&read_tns(&text[..]), &want).map_err(TestCaseError::Fail)?;
+        }
+    }
+
+    #[test]
+    fn block_parser_reports_the_earliest_error_across_blocks() {
+        // Line 2 has the wrong arity and line 5 a bad value; with 8-byte
+        // blocks they land in different blocks parsed side by side.
+        let text = "1 1 1 1.0\n2 2 2.0\n\n# c\n1 1 1 x\n";
+        for threads in [1, 2, 4] {
+            let err = with_threads(threads, || read_tns_blocks(text.as_bytes(), 8)).unwrap_err();
+            assert_eq!(err.to_string(), "parse error: line 2: expected 3 indices, found 2");
+        }
+        // The arity check comes before the fields are parsed, also when
+        // the faulty line opens a block.
+        let err = read_tns_blocks("1 1 1 1.0\n2 x 2.0\n".as_bytes(), 10).unwrap_err();
+        assert_eq!(err.to_string(), "parse error: line 2: expected 3 indices, found 2");
+        let err = read_tns_blocks("# x\n\n1 2\n1 2 3\n".as_bytes(), 4).unwrap_err();
+        assert_eq!(err.to_string(), "parse error: line 4: expected 1 indices, found 2");
+    }
+
+    #[test]
+    fn block_parser_keeps_lines_longer_than_a_block_whole() {
+        let long = format!("{} 7 {}\n3 4 1.5", "0".repeat(300) + "2", "1".repeat(200));
+        let t = read_tns_blocks(long.as_bytes(), 16).unwrap();
+        assert_eq!(t.dims(), &[3, 7]);
+        assert_eq!(t.vals()[0], "1".repeat(200).parse::<f64>().unwrap());
+        assert_eq!(t.get(&[2, 3]), 1.5);
+    }
+
+    #[test]
+    fn block_parser_rejects_invalid_utf8_as_io_invalid_data() {
+        let err = read_tns(&b"1 1 1.0\n1 \xc3 2.0\n"[..]).unwrap_err();
+        assert!(matches!(err, IoError::Io(ref e) if e.kind() == io::ErrorKind::InvalidData));
+        let want = read_tns_lines(&b"1 1 1.0\n1 \xc3 2.0\n"[..]).unwrap_err();
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    /// A reader that yields `data` and then fails.
+    struct FailAfter<'a> {
+        data: &'a [u8],
+    }
+
+    impl Read for FailAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.data.is_empty() {
+                return Err(io::Error::other("device gone"));
+            }
+            let n = self.data.read(buf)?;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn block_parser_reports_a_read_error_after_earlier_lines() {
+        let err = read_tns_blocks(FailAfter { data: b"1 1 1.0\n2 2 2.0\n1 1" }, 64).unwrap_err();
+        assert!(matches!(err, IoError::Io(ref e) if e.to_string() == "device gone"), "{err}");
+        // A parse error on a line read before the failure comes first.
+        let err = read_tns_blocks(FailAfter { data: b"1 1 1.0\n0 2 2.0\n1 1" }, 64).unwrap_err();
+        assert_eq!(err.to_string(), "parse error: line 2: indices are 1-based, found 0");
+    }
 
     fn toy() -> SparseTensor {
         SparseTensor::from_entries(

@@ -214,7 +214,7 @@ pub mod strategy {
         )*};
     }
 
-    impl_int_strategy!(usize, u64, u32, i64, i32);
+    impl_int_strategy!(usize, u64, u32, i64, i32, u8);
 
     impl Strategy for Range<f64> {
         type Value = f64;

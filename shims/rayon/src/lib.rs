@@ -6,10 +6,10 @@
 //! the combinator surface the kernels use — `par_iter` / `into_par_iter`
 //! (ranges and slices), `map`, `map_init`, `enumerate`, `zip`, `step_by`,
 //! `fold` + `reduce`, `for_each`, `collect`, `par_chunks`,
-//! `par_chunks_mut`, `par_sort_unstable_by` — with real data parallelism
-//! via [`std::thread::scope`]: each terminal operation splits its items
-//! into one contiguous block per worker and joins in order, so outputs are
-//! position-stable just as with rayon.
+//! `par_chunks_mut`, `par_sort_unstable`, `par_sort_unstable_by` — with
+//! real data parallelism via [`std::thread::scope`]: each terminal
+//! operation splits its items into one contiguous block per worker and
+//! joins in order, so outputs are position-stable just as with rayon.
 //!
 //! Differences from rayon, none observable by this workspace:
 //!
@@ -450,6 +450,35 @@ pub trait ParallelSliceMut<T: Send> {
     fn par_sort_unstable_by<F>(&mut self, compare: F)
     where
         F: Fn(&T, &T) -> Ordering + Sync;
+
+    /// Unstable sort by `Ord`, split across the workers: the slice is
+    /// partitioned at a rank boundary (`select_nth_unstable`) and each
+    /// part is sorted on its own thread, recursively, until every worker
+    /// owns one part.
+    fn par_sort_unstable(&mut self)
+    where
+        T: Ord;
+}
+
+/// Below this many items [`ParallelSliceMut::par_sort_unstable`] sorts on
+/// the calling thread: a partition pass plus a thread spawn costs more
+/// than it saves.
+const PAR_SORT_MIN: usize = 1 << 14;
+
+/// Sorts `v` using `workers` threads (see `par_sort_unstable`).
+fn sort_on_workers<T: Ord + Send>(v: &mut [T], workers: usize) {
+    if workers <= 1 || v.len() < PAR_SORT_MIN {
+        v.sort_unstable();
+        return;
+    }
+    let left = workers / 2;
+    let mid = v.len() / workers * left;
+    v.select_nth_unstable(mid);
+    let (lo, hi) = v.split_at_mut(mid);
+    std::thread::scope(|scope| {
+        scope.spawn(|| sort_on_workers(hi, workers - left));
+        sort_on_workers(lo, left);
+    });
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -463,6 +492,13 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         F: Fn(&T, &T) -> Ordering + Sync,
     {
         self.sort_unstable_by(compare);
+    }
+
+    fn par_sort_unstable(&mut self)
+    where
+        T: Ord,
+    {
+        sort_on_workers(self, current_num_threads());
     }
 }
 
@@ -555,6 +591,23 @@ mod tests {
         a.par_sort_unstable_by(|x, y| x.cmp(y));
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn par_sort_unstable_matches_sequential_sort_at_any_thread_count() {
+        let a: Vec<(u64, u32)> =
+            (0..100_000u32).map(|i| ((u64::from(i) * 7919) % 1013, i)).collect();
+        let mut want = a.clone();
+        want.sort_unstable();
+        for threads in [1, 2, 3, 8] {
+            let mut got = a.clone();
+            ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("infallible")
+                .install(|| got.par_sort_unstable());
+            assert_eq!(got, want, "{threads} threads");
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@ use adatm::{
     CsfBackend, DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, NcpOptions, Planner,
     PpConfig, SparseTensor, TreeShape, TuckerOptions,
 };
+use rayon::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
@@ -263,18 +265,25 @@ fn check_solver_input(t: &SparseTensor, rank: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Wraps a filesystem-level failure as [`EXIT_IO`].
-fn fs_err(e: std::io::Error) -> CliError {
-    CliError { code: EXIT_IO, msg: e.to_string() }
+/// Wraps a filesystem-level failure on `path` as [`EXIT_IO`].
+fn fs_err(path: &str, e: std::io::Error) -> CliError {
+    file_err(path, IoError::Io(e))
+}
+
+/// Classifies a tensor-file error and names the file in its message.
+fn file_err(path: &str, e: IoError) -> CliError {
+    let CliError { code, msg } = e.into();
+    CliError { code, msg: format!("{path}: {msg}") }
 }
 
 fn load(path: &str) -> Result<SparseTensor, CliError> {
     let p = Path::new(path);
     let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut t = match ext {
-        "adtm" => read_binary_file(p)?,
-        _ => read_tns_file(p)?,
-    };
+        "adtm" => read_binary_file(p),
+        _ => read_tns_file(p),
+    }
+    .map_err(|e| file_err(path, e))?;
     t.dedup_sum();
     Ok(t)
 }
@@ -283,10 +292,10 @@ fn store(t: &SparseTensor, path: &str) -> Result<(), CliError> {
     let p = Path::new(path);
     let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
     match ext {
-        "adtm" => write_binary_file(t, p)?,
-        _ => write_tns_file(t, p)?,
+        "adtm" => write_binary_file(t, p),
+        _ => write_tns_file(t, p),
     }
-    Ok(())
+    .map_err(|e| file_err(path, e))
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliError> {
@@ -472,23 +481,66 @@ fn make_backend(
     })
 }
 
+/// Factor rows formatted per parallel task. The writer formats a window
+/// of `WRITE_CHUNK * current_num_threads()` rows at a time, so its buffers
+/// stay a few MiB however large the factor.
+const WRITE_CHUNK: usize = 2048;
+
+/// Writes `lambda.txt` and one `factor_<d>.txt` per mode under `dir`: one
+/// line per row, entries in `f64`'s `Display` form separated by single
+/// spaces. The bytes do not depend on the thread count.
 fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
-    std::fs::create_dir_all(dir).map_err(fs_err)?;
+    std::fs::create_dir_all(dir).map_err(|e| fs_err(dir, e))?;
     let lpath = format!("{dir}/lambda.txt");
-    let mut lf = std::fs::File::create(&lpath).map_err(fs_err)?;
+    let mut lambda = String::new();
     for l in &model.lambda {
-        writeln!(lf, "{l}").map_err(fs_err)?;
+        push_row(&mut lambda, std::slice::from_ref(l));
     }
+    std::fs::write(&lpath, lambda).map_err(|e| fs_err(&lpath, e))?;
+    let mut chunks = vec![String::new(); rayon::current_num_threads()];
     for (d, f) in model.factors.iter().enumerate() {
         let path = format!("{dir}/factor_{d}.txt");
-        let mut file = std::fs::File::create(&path).map_err(fs_err)?;
-        for i in 0..f.nrows() {
-            let row: Vec<String> = f.row(i).iter().map(|x| format!("{x}")).collect();
-            writeln!(file, "{}", row.join(" ")).map_err(fs_err)?;
-        }
+        write_factor(&path, f, &mut chunks).map_err(|e| fs_err(&path, e))?;
     }
     outln!("wrote lambda + {} factors under {dir}/", model.factors.len());
     Ok(())
+}
+
+/// Writes the rows of `f` to `path`, formatting up to `chunks.len()`
+/// chunks of [`WRITE_CHUNK`] rows in parallel and writing them in order.
+fn write_factor(path: &str, f: &adatm::Mat, chunks: &mut [String]) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    let window = WRITE_CHUNK * chunks.len();
+    for start in (0..f.nrows()).step_by(window) {
+        let end = f.nrows().min(start + window);
+        let used = (end - start).div_ceil(WRITE_CHUNK);
+        let live = &mut chunks[..used];
+        live.par_chunks_mut(1).enumerate().for_each(|(c, one)| {
+            let lo = start + c * WRITE_CHUNK;
+            for s in one {
+                s.clear();
+                for i in lo..end.min(lo + WRITE_CHUNK) {
+                    push_row(s, f.row(i));
+                }
+            }
+        });
+        for s in live.iter() {
+            file.write_all(s.as_bytes())?;
+        }
+    }
+    Ok(())
+}
+
+/// Appends `row` as one text line: `Display` forms joined by spaces.
+fn push_row(s: &mut String, row: &[f64]) {
+    for (j, x) in row.iter().enumerate() {
+        if j > 0 {
+            s.push(' ');
+        }
+        // Formatting into a `String` cannot fail.
+        let _ = write!(s, "{x}");
+    }
+    s.push('\n');
 }
 
 fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
@@ -565,7 +617,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     }
     let mut backend = make_backend(&t, rank, &opts, profile, mem_budget)?;
     outln!("backend: {}", backend.name());
-    match algo {
+    let model = match algo {
         None | Some("als") => {
             let drift = opt_parse(&opts, "drift-factor", 2.0f64)?;
             let mut o =
@@ -644,9 +696,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             if opts.contains_key("trace") {
                 outln!("trace: {}", res.trace_summary());
             }
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
+            res.model
         }
         Some("ncp") => {
             let o = NcpOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
@@ -657,9 +707,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 res.final_fit(),
                 res.converged
             );
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
+            res.model
         }
         Some("cpopt") => {
             let o = CpOptOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
@@ -670,11 +718,16 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 res.objective_history.last().copied().unwrap_or(f64::NAN),
                 res.converged
             );
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
+            res.model
         }
         Some(other) => return Err(format!("unknown algorithm '{other}'").into()),
+    };
+    // Free the tensor and the backend's structures first, so the writer's
+    // buffers never add to the run's peak memory.
+    drop(backend);
+    drop(t);
+    if let Some(dir) = opts.get("out") {
+        write_factors(dir, &model)?;
     }
     Ok(())
 }

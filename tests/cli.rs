@@ -34,8 +34,11 @@ fn unknown_subcommand_exits_with_usage_code() {
 
 #[test]
 fn missing_file_exits_with_io_code() {
-    let out = adatm().args(["info", "/nonexistent/adatm_no_such_file.tns"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let path = "/nonexistent/adatm_no_such_file.tns";
+    let out = adatm().args(["info", path]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains(path), "the error must name the file: {stderr}");
 }
 
 #[test]
@@ -239,6 +242,61 @@ fn decompose_als_writes_factors() {
         let lines = std::fs::read_to_string(&f).unwrap().lines().count();
         assert_eq!(lines, [25, 20, 15][d]);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reformats every number of a factor file with `format!("{x}")`, one
+/// row per line, joined by single spaces: the writer's documented form.
+fn reference_format(text: &str) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        let row: Vec<String> =
+            line.split(' ').map(|x| format!("{}", x.parse::<f64>().unwrap())).collect();
+        out.push_str(&row.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn factor_files_span_writer_windows_and_match_at_any_thread_count() {
+    let dir = tmpdir("windows");
+    let tns = dir.join("t.tns");
+    // Mode 0 (7000 rows) is longer than one writer window at 1 thread
+    // (2048 rows) and at 3 threads (6144 rows). Completion is the solver
+    // whose model does not depend on the thread count (the parallel
+    // MTTKRP kernels reduce in a thread-count-dependent order), so equal
+    // files at 1 and 3 threads pin the parser, dedup and writer.
+    let gen = adatm()
+        .args(["generate", "--dims", "7000x40x30", "--nnz", "30000", "--seed", "3", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    assert!(gen.success());
+    let mut written = Vec::new();
+    for threads in ["1", "3"] {
+        let out_dir = dir.join(format!("factors-{threads}"));
+        let out = adatm()
+            .env("RAYON_NUM_THREADS", threads)
+            .arg("decompose")
+            .arg(&tns)
+            .args(["--rank", "5", "--iters", "2", "--algo", "complete", "--out"])
+            .arg(&out_dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let mut files = Vec::new();
+        for (name, rows) in
+            [("lambda.txt", 5), ("factor_0.txt", 7000), ("factor_1.txt", 40), ("factor_2.txt", 30)]
+        {
+            let text = std::fs::read_to_string(out_dir.join(name)).unwrap();
+            assert_eq!(text.lines().count(), rows, "{name} at {threads} thread(s)");
+            assert_eq!(text, reference_format(&text), "{name} at {threads} thread(s)");
+            files.push(text);
+        }
+        written.push(files);
+    }
+    assert!(written[0] == written[1], "factor files differ between 1 and 3 threads");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
