@@ -205,7 +205,7 @@ fn check_calibrated_plan(
             .estimator(NnzEstimator::Exact)
             .threads(threads)
             .calibration(*profile);
-        let adaptive = AdaptiveBackend::from_planner(t, rank, planner);
+        let adaptive = AdaptiveBackend::from_plan(t, rank, planner.plan());
         let plan = adaptive.memo_plan();
         let chose = if plan.use_coo {
             "coo".to_string()

@@ -8,7 +8,7 @@
 
 use adatm_dtree::{DtreeEngine, EngineOptions, TreeShape};
 use adatm_linalg::Mat;
-use adatm_model::{KernelProfile, MemoPlan, NnzEstimator, Planner};
+use adatm_model::{KernelProfile, MemoPlan, Planner};
 use adatm_tensor::csf::CsfSet;
 use adatm_tensor::mttkrp::{mttkrp_par_into, mttkrp_seq_into, schedule_for_view};
 use adatm_tensor::schedule::{ModeSchedule, Workspace};
@@ -313,40 +313,10 @@ pub struct AdaptiveBackend {
 impl AdaptiveBackend {
     /// Plans with default estimator/search and builds the engine.
     pub fn plan(tensor: &SparseTensor, rank: usize) -> Self {
-        Self::from_planner(tensor, rank, Self::default_planner(tensor, rank))
-    }
-
-    /// Plans with an explicit estimator.
-    pub fn plan_with_estimator(
-        tensor: &SparseTensor,
-        rank: usize,
-        estimator: NnzEstimator,
-    ) -> Self {
-        Self::from_planner(tensor, rank, Self::default_planner(tensor, rank).estimator(estimator))
-    }
-
-    /// Plans with a memory budget on resident structures.
-    pub fn plan_with_budget(tensor: &SparseTensor, rank: usize, budget_bytes: usize) -> Self {
-        Self::from_planner(
-            tensor,
-            rank,
-            Self::default_planner(tensor, rank).memory_budget(budget_bytes),
-        )
-    }
-
-    /// The planner the convenience constructors start from: current
-    /// thread count, plus the environment calibration profile when one
-    /// is available.
-    fn default_planner(tensor: &SparseTensor, rank: usize) -> Planner<'_> {
         let mut planner = Planner::new(tensor, rank).threads(rayon::current_num_threads());
         if let Some(profile) = KernelProfile::load_env() {
             planner = planner.calibration(profile);
         }
-        planner
-    }
-
-    /// Runs an explicitly configured planner and builds the engine.
-    pub fn from_planner(tensor: &SparseTensor, rank: usize, planner: Planner<'_>) -> Self {
         Self::from_plan(tensor, rank, planner.plan())
     }
 
@@ -517,6 +487,7 @@ pub fn all_backends(tensor: &SparseTensor, rank: usize) -> Vec<Box<dyn MttkrpBac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adatm_model::NnzEstimator;
     use adatm_tensor::gen::zipf_tensor;
     use adatm_tensor::mttkrp::mttkrp_seq;
 
@@ -564,7 +535,7 @@ mod tests {
         let t = zipf_tensor(&[15, 18, 12, 20], 600, &[0.6; 4], 11);
         let planner =
             Planner::new(&t, 4).estimator(NnzEstimator::Exact).calibration(profile).threads(8);
-        let mut b = AdaptiveBackend::from_planner(&t, 4, planner);
+        let mut b = AdaptiveBackend::from_plan(&t, 4, planner.plan());
         assert!(b.memo_plan().use_csf, "tree-hostile profile must dispatch to CSF");
         assert!(b.tree_engine().is_none());
         assert_eq!(b.name(), "adaptive");
@@ -590,7 +561,7 @@ mod tests {
             .estimator(NnzEstimator::Exact)
             .calibration(tree_friendly)
             .threads(8);
-        let b = AdaptiveBackend::from_planner(&t, 4, planner);
+        let b = AdaptiveBackend::from_plan(&t, 4, planner.plan());
         assert!(!b.memo_plan().use_csf);
         assert!(b.tree_engine().is_some());
     }
@@ -610,7 +581,7 @@ mod tests {
         let t = zipf_tensor(&[15, 18, 12, 20], 600, &[0.6; 4], 11);
         let planner =
             Planner::new(&t, 4).estimator(NnzEstimator::Exact).calibration(profile).threads(8);
-        let mut b = AdaptiveBackend::from_planner(&t, 4, planner);
+        let mut b = AdaptiveBackend::from_plan(&t, 4, planner.plan());
         assert!(b.memo_plan().use_coo, "coo-dominant profile must dispatch to COO");
         assert!(!b.memo_plan().use_csf);
         assert!(b.tree_engine().is_none());

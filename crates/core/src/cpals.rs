@@ -1,4 +1,5 @@
-//! The CP-ALS driver.
+//! The CP-ALS driver, and the alternating loop it shares with
+//! nonnegative CP.
 //!
 //! One iteration performs, for each mode `n`:
 //!
@@ -6,15 +7,23 @@
 //! 2. `M^(n) <- MTTKRP(X, factors, n)` via the backend,
 //! 3. `H^(n) <- hadamard_{i != n} W^(i)` with `W^(i) = U^(i)^T U^(i)`
 //!    cached and updated incrementally,
-//! 4. `U^(n) <- M^(n) pinv(H^(n))`,
-//! 5. column-normalize `U^(n)` into `lambda` (2-norm on the first
-//!    iteration, max-norm afterwards — the standard practice that keeps
-//!    factors well-scaled without re-shrinking converged columns),
-//! 6. `W^(n) <- U^(n)^T U^(n)`.
+//! 4. the update of `U^(n)` from `M^(n)` and `H^(n)`, by the configured
+//!    [`UpdateRule`]:
+//!    * [`UpdateRule::LeastSquares`] (CP-ALS, the default):
+//!      `U^(n) <- M^(n) pinv(H^(n))`, then column-normalized into
+//!      `lambda` (2-norm on the first iteration, max-norm afterwards —
+//!      the standard practice that keeps factors well-scaled without
+//!      re-shrinking converged columns);
+//!    * [`UpdateRule::Multiplicative`] (nonnegative CP, Lee–Seung):
+//!      `U^(n) <- U^(n) .* max(M^(n), 0) ./ (U^(n) H^(n) + 1e-12)`, which
+//!      keeps a nonnegative start nonnegative on nonnegative data; no
+//!      normalization, so `lambda` stays all ones,
+//! 5. `W^(n) <- U^(n)^T U^(n)`.
 //!
 //! The fit `1 - ||X - M|| / ||X||` is computed per iteration at
 //! `O(I_N R + R²)` extra cost using the last subiteration's MTTKRP
-//! result — no extra pass over the tensor.
+//! result — no extra pass over the tensor. It holds for both rules (with
+//! all-ones `lambda` under the multiplicative one).
 //!
 //! # Resilience
 //!
@@ -39,7 +48,11 @@
 //! checked at every mode boundary so callers serving traffic get
 //! best-so-far results instead of unbounded runs. Everything a detector
 //! saw and every recovery taken is recorded in
-//! [`CpResult::diagnostics`].
+//! [`CpResult::diagnostics`]. Both update rules run under all of it:
+//! detectors, rollback, watchdog, checkpoints and trace are properties of
+//! the loop, not of the rule. Pairwise perturbation is the one exception:
+//! it is refused with the multiplicative rule, whose approximate sweeps
+//! trail the exact trajectory (see [`CpAlsError::PpWithMultiplicative`]).
 //!
 //! # Structure
 //!
@@ -50,9 +63,10 @@
 //! [`CpAls::resume_from`] (both after the same input validation). A
 //! checkpoint is a view of the session, so what is written and what a
 //! resume restores cannot drift apart. Each mode's dense step (Hadamard,
-//! solve/ridge, normalize/reseed and the finiteness detectors) is one
-//! function that returns the breakdown it saw, so the loop has a single
-//! breakdown exit into `rollback`. Pairwise perturbation is a sweep
+//! the rule's update — solve/ridge and normalize/reseed, or the
+//! multiplicative step — and the finiteness detectors) is one function
+//! that returns the breakdown it saw, so the loop has a single breakdown
+//! exit into `rollback`. Pairwise perturbation is a sweep
 //! strategy over this loop: its controller, `PpCtl`, is called before
 //! each iteration's MTTKRP phase (exact or approximate sweep) and at each
 //! iteration boundary (arm, re-baseline, disarm). Checkpoints are written
@@ -93,6 +107,9 @@ const RIDGE_REL: f64 = 1e-8;
 
 /// Absolute floor for the Tikhonov ridge.
 const RIDGE_FLOOR: f64 = 1e-12;
+
+/// Division guard keeping the multiplicative update finite.
+const MU_EPS: f64 = 1e-12;
 
 /// Absolute fit drop between consecutive iterations treated as
 /// divergence. Healthy ALS sweeps are monotone to rounding; a drop this
@@ -170,6 +187,23 @@ impl Default for PpConfig {
     }
 }
 
+/// How each mode's factor is updated from its MTTKRP
+/// ([`CpAlsOptions::update`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum UpdateRule {
+    /// CP-ALS: the least-squares solve `U <- M pinv(H)`, with a ridge
+    /// re-solve on a degenerate system and column normalization into λ.
+    #[default]
+    LeastSquares,
+    /// Nonnegative CP by Lee–Seung multiplicative updates:
+    /// `U <- U .* max(M, 0) ./ (U H + 1e-12)`, unnormalized, so λ stays
+    /// all ones. The run rejects a negative tensor value
+    /// ([`CpAlsError::NegativeTensor`]), a negative starting factor entry
+    /// ([`CpAlsError::NegativeInit`]) and pairwise perturbation
+    /// ([`CpAlsError::PpWithMultiplicative`]).
+    Multiplicative,
+}
+
 /// Options for a CP-ALS run.
 #[derive(Clone, Debug)]
 pub struct CpAlsOptions {
@@ -207,11 +241,13 @@ pub struct CpAlsOptions {
     /// replaces exact MTTKRP sweeps with memoized perturbative updates
     /// once the factors stop moving (see [`PpConfig`]).
     pub pp: Option<PpConfig>,
+    /// The per-mode factor update (least squares unless set).
+    pub update: UpdateRule,
 }
 
 impl CpAlsOptions {
     /// Defaults: 50 iterations, tolerance `1e-5`, seed 0, random init, no
-    /// time budget, 8 rollback recoveries.
+    /// time budget, 8 rollback recoveries, least-squares updates.
     ///
     /// A rank of 0 is rejected with [`CpAlsError::ZeroRank`] when the
     /// solver runs.
@@ -227,6 +263,7 @@ impl CpAlsOptions {
             drift_factor: 2.0,
             checkpoint: None,
             pp: None,
+            update: UpdateRule::LeastSquares,
         }
     }
 
@@ -283,6 +320,12 @@ impl CpAlsOptions {
     /// config.
     pub fn pp(mut self, cfg: PpConfig) -> Self {
         self.pp = Some(cfg);
+        self
+    }
+
+    /// Sets the per-mode update rule.
+    pub fn update(mut self, rule: UpdateRule) -> Self {
+        self.update = rule;
         self
     }
 }
@@ -827,6 +870,85 @@ impl PpCtl {
     }
 }
 
+/// The input checks every CP solver over an MTTKRP backend shares: a
+/// positive rank, at least two modes and finite tensor values.
+pub(crate) fn check_input(tensor: &SparseTensor, rank: usize) -> Result<(), CpAlsError> {
+    if rank == 0 {
+        return Err(CpAlsError::ZeroRank);
+    }
+    if tensor.ndim() < 2 {
+        return Err(CpAlsError::TooFewModes { ndim: tensor.ndim() });
+    }
+    if !tensor.vals().iter().all(|v| v.is_finite()) {
+        return Err(CpAlsError::NonFiniteTensor);
+    }
+    Ok(())
+}
+
+/// `H^(n)`: the Hadamard product of every Gram but `mode`'s, into `h`.
+fn hadamard_of_grams(
+    s: &Session,
+    h: &mut Mat,
+    iter: usize,
+    mode: usize,
+) -> Result<(), BreakdownKind> {
+    let t1 = Instant::now();
+    h.as_mut_slice().fill(1.0);
+    for (d, w) in s.grams.iter().enumerate() {
+        if d != mode {
+            h.hadamard_assign(w);
+        }
+    }
+    adatm_trace::event!(
+        "stage",
+        iter: iter as u64,
+        mode: mode as u64,
+        stage: "gram",
+        elapsed_ns: t1.elapsed().as_nanos() as u64
+    );
+    // Detector: a poisoned Gram system (possible only if a non-finite
+    // factor slipped past an earlier detector or the Hadamard product
+    // overflowed).
+    if h.is_finite() {
+        Ok(())
+    } else {
+        Err(BreakdownKind::NonFiniteGram)
+    }
+}
+
+/// The multiplicative update `U <- U .* max(M, 0) ./ (U H + eps)`,
+/// computed over the denominator's buffer. No normalization: λ is
+/// untouched (all ones), and a column that reaches zero stays a valid
+/// nonnegative fixed point, so nothing is reseeded.
+fn multiplicative_step(
+    s: &mut Session,
+    m: &Mat,
+    h: &Mat,
+    iter: usize,
+    mode: usize,
+) -> Result<(), BreakdownKind> {
+    let t_mu = Instant::now();
+    let mut u = s.factors[mode].matmul(h);
+    let old = s.factors[mode].as_slice();
+    for ((x, &u0), &mv) in u.as_mut_slice().iter_mut().zip(old).zip(m.as_slice()) {
+        *x = u0 * (mv.max(0.0) / (*x + MU_EPS));
+    }
+    // Detector: the updated factor went non-finite (overflow).
+    if !u.is_finite() {
+        return Err(BreakdownKind::NonFiniteFactor);
+    }
+    s.grams[mode] = u.gram();
+    s.factors[mode] = u;
+    adatm_trace::event!(
+        "stage",
+        iter: iter as u64,
+        mode: mode as u64,
+        stage: "mu",
+        elapsed_ns: t_mu.elapsed().as_nanos() as u64
+    );
+    Ok(())
+}
+
 /// The CP-ALS solver.
 #[derive(Clone, Debug)]
 pub struct CpAls {
@@ -880,9 +1002,11 @@ impl CpAls {
     /// (they are bitwise-pure functions of them).
     ///
     /// The checkpoint must match `tensor` (mode dimensions), the
-    /// configured rank, and the configured seed; disagreements return a
-    /// typed [`CpAlsError::Checkpoint`] with
-    /// [`CheckpointError::Mismatch`] inside.
+    /// configured rank, and the configured seed — and, under the
+    /// multiplicative rule, hold the all-ones λ only that rule writes (the
+    /// file does not record the rule); disagreements return a typed
+    /// [`CpAlsError::Checkpoint`] with [`CheckpointError::Mismatch`]
+    /// inside.
     pub fn resume_from<B: MttkrpBackend + ?Sized>(
         &self,
         tensor: &SparseTensor,
@@ -891,6 +1015,17 @@ impl CpAls {
     ) -> Result<CpResult, CpAlsError> {
         let rank = self.opts.rank;
         let mismatch = |what: String| CpAlsError::Checkpoint(CheckpointError::Mismatch { what });
+        // The multiplicative rule never rescales, so every λ it writes is
+        // all ones; anything else was written by a least-squares run.
+        if self.opts.update == UpdateRule::Multiplicative {
+            let unit = |l: &[f64]| l.iter().all(|&x| x == 1.0);
+            if !unit(&ckpt.lambda) || ckpt.last_good.as_ref().is_some_and(|(l, _)| !unit(l)) {
+                return Err(mismatch(
+                    "checkpoint λ is not all ones: it was not written by a multiplicative-update run"
+                        .to_string(),
+                ));
+            }
+        }
         self.validate(tensor, &ckpt.factors).map_err(|e| match e {
             CpAlsError::FactorCountMismatch { expected, found } => {
                 mismatch(format!("checkpoint has {found} modes, tensor has {expected}"))
@@ -939,18 +1074,17 @@ impl CpAls {
     }
 
     /// Input validation shared by [`CpAls::run_from`] and
-    /// [`CpAls::resume_from`]: the rank, the tensor order, the starting
-    /// factor set's count, shapes and finiteness, and the tensor's
-    /// values.
+    /// [`CpAls::resume_from`]: the rule/PP combination, [`check_input`],
+    /// the starting factor set's count, shapes and finiteness, and — for
+    /// the multiplicative rule — the signs of the tensor's values and of
+    /// the starting factors.
     fn validate(&self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
         let n = tensor.ndim();
         let rank = self.opts.rank;
-        if rank == 0 {
-            return Err(CpAlsError::ZeroRank);
+        if self.opts.update == UpdateRule::Multiplicative && self.opts.pp.is_some() {
+            return Err(CpAlsError::PpWithMultiplicative);
         }
-        if n < 2 {
-            return Err(CpAlsError::TooFewModes { ndim: n });
-        }
+        check_input(tensor, rank)?;
         if factors.len() != n {
             return Err(CpAlsError::FactorCountMismatch { expected: n, found: factors.len() });
         }
@@ -966,8 +1100,13 @@ impl CpAls {
                 return Err(CpAlsError::NonFiniteInit { mode: d });
             }
         }
-        if !tensor.vals().iter().all(|v| v.is_finite()) {
-            return Err(CpAlsError::NonFiniteTensor);
+        if self.opts.update == UpdateRule::Multiplicative {
+            if tensor.vals().iter().any(|&v| v < 0.0) {
+                return Err(CpAlsError::NegativeTensor);
+            }
+            if let Some(mode) = factors.iter().position(|f| f.as_slice().iter().any(|&x| x < 0.0)) {
+                return Err(CpAlsError::NegativeInit { mode });
+            }
         }
         #[cfg(feature = "audit")]
         audit_stage("cp-als input tensor", tensor);
@@ -1263,13 +1402,12 @@ impl CpAls {
     }
 
     /// One mode's dense step: the Hadamard of the other modes' Grams,
-    /// the solve (with a ridge re-solve on a degenerate or failed
-    /// system), column normalization with zero-column reseeding, and the
-    /// finiteness detectors around them. On success the session holds
-    /// the new factor, its Gram and its scales; on a breakdown the
-    /// detected kind is returned for the caller's single rollback exit.
-    /// Dense time covers everything after the MTTKRP check, a breakdown
-    /// included, and is closed by one `dense` stage event.
+    /// the configured rule's update, and the finiteness detectors around
+    /// them. On success the session holds the new factor, its Gram and
+    /// its scales; on a breakdown the detected kind is returned for the
+    /// caller's single rollback exit. Dense time covers everything after
+    /// the MTTKRP check, a breakdown included, and is closed by one
+    /// `dense` stage event.
     fn update_mode(
         &self,
         s: &mut Session,
@@ -1288,7 +1426,10 @@ impl CpAls {
         #[cfg(feature = "audit")]
         audit_stage("mttkrp output", m);
         let t1 = Instant::now();
-        let step = self.solve_mode(s, m, h, iter, mode);
+        let step = hadamard_of_grams(s, h, iter, mode).and_then(|()| match self.opts.update {
+            UpdateRule::LeastSquares => self.solve_mode(s, m, h, iter, mode),
+            UpdateRule::Multiplicative => multiplicative_step(s, m, h, iter, mode),
+        });
         let d_dense = t1.elapsed();
         s.timings.dense += d_dense;
         adatm_trace::event!(
@@ -1301,37 +1442,17 @@ impl CpAls {
         step
     }
 
-    /// The body of [`CpAls::update_mode`] between its MTTKRP check and
-    /// its dense-time accounting.
+    /// The least-squares update: the solve (with a ridge re-solve on a
+    /// degenerate or failed system), then column normalization with
+    /// zero-column reseeding.
     fn solve_mode(
         &self,
         s: &mut Session,
         m: &Mat,
-        h: &mut Mat,
+        h: &Mat,
         iter: usize,
         mode: usize,
     ) -> Result<(), BreakdownKind> {
-        let t1 = Instant::now();
-        h.as_mut_slice().fill(1.0);
-        for (d, w) in s.grams.iter().enumerate() {
-            if d != mode {
-                h.hadamard_assign(w);
-            }
-        }
-        adatm_trace::event!(
-            "stage",
-            iter: iter as u64,
-            mode: mode as u64,
-            stage: "gram",
-            elapsed_ns: t1.elapsed().as_nanos() as u64
-        );
-        // Detector: a poisoned Gram system (possible only if a non-finite
-        // factor slipped past an earlier detector or the Hadamard product
-        // overflowed).
-        if !h.is_finite() {
-            return Err(BreakdownKind::NonFiniteGram);
-        }
-
         let t_solve = Instant::now();
         let mut u = match try_solve_gram(m, h) {
             Ok((u, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
@@ -1709,6 +1830,90 @@ mod tests {
         assert!(!res.converged);
         assert!(res.model.factors.iter().all(Mat::is_finite));
         assert_eq!(res.diagnostics.stop, StopReason::MaxIters);
+    }
+
+    fn multiplicative(rank: usize) -> CpAlsOptions {
+        CpAlsOptions::new(rank).update(UpdateRule::Multiplicative)
+    }
+
+    #[test]
+    fn multiplicative_rule_fits_nonnegative_low_rank_data() {
+        let t = dense_low_rank(&[10, 12, 8], 3, 0.0, 5).tensor;
+        let mut backend = CooBackend::new(&t);
+        let res = CpAls::new(multiplicative(3).max_iters(300).tol(0.0).seed(2))
+            .run(&t, &mut backend)
+            .unwrap();
+        assert!(res.final_fit() > 0.95, "fit {}", res.final_fit());
+    }
+
+    #[test]
+    fn multiplicative_rule_keeps_factors_nonnegative_and_lambda_one() {
+        let t = zipf_tensor(&[15, 18, 12, 10], 400, &[0.5; 4], 7);
+        let mut backend = DtreeBackend::balanced_binary(&t, 4);
+        let res = CpAls::new(multiplicative(4).max_iters(10).tol(0.0).seed(1))
+            .run(&t, &mut backend)
+            .unwrap();
+        for (d, f) in res.model.factors.iter().enumerate() {
+            assert!(
+                f.as_slice().iter().all(|&x| x >= 0.0 && x.is_finite()),
+                "mode {d} has negative/non-finite entries"
+            );
+        }
+        assert!(res.model.lambda.iter().all(|&l| l == 1.0), "{:?}", res.model.lambda);
+    }
+
+    #[test]
+    fn multiplicative_fit_is_monotone_nondecreasing() {
+        // Multiplicative updates are monotone in the objective for
+        // nonnegative data.
+        let t = dense_low_rank(&[8, 9, 7], 2, 0.0, 3).tensor;
+        let mut backend = CooBackend::new(&t);
+        let res = CpAls::new(multiplicative(2).max_iters(40).tol(0.0).seed(4))
+            .run(&t, &mut backend)
+            .unwrap();
+        for w in res.fit_history.windows(2) {
+            assert!(w[1] >= w[0] - 1e-8, "fit regressed: {} -> {}", w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_multiplicative_trajectory() {
+        let t = zipf_tensor(&[12, 14, 10, 8], 300, &[0.6; 4], 9);
+        let opts = multiplicative(3).max_iters(8).tol(0.0).seed(11);
+        let a = CpAls::new(opts.clone()).run(&t, &mut CooBackend::new(&t)).unwrap();
+        let b = CpAls::new(opts).run(&t, &mut DtreeBackend::balanced_binary(&t, 3)).unwrap();
+        assert_eq!(a.fit_history.len(), b.fit_history.len());
+        for (x, y) in a.fit_history.iter().zip(b.fit_history.iter()) {
+            assert!((x - y).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn multiplicative_rule_rejects_bad_input_with_typed_errors() {
+        let t = SparseTensor::from_entries(vec![3, 3], &[(vec![0, 0], -1.0), (vec![1, 2], 2.0)]);
+        let err = CpAls::new(multiplicative(2)).run(&t, &mut CooBackend::new(&t)).unwrap_err();
+        assert_eq!(err, CpAlsError::NegativeTensor);
+        // The least-squares rule accepts the same tensor.
+        assert!(CpAls::new(CpAlsOptions::new(2)).run(&t, &mut CooBackend::new(&t)).is_ok());
+
+        let t = zipf_tensor(&[10, 12, 9], 200, &[0.3; 3], 2);
+        let mut start = init_factors(&t, 2, 0, InitStrategy::Random);
+        start[1].set(4, 1, -0.5);
+        let err = CpAls::new(multiplicative(2))
+            .run_from(&t, &mut CooBackend::new(&t), start)
+            .unwrap_err();
+        assert_eq!(err, CpAlsError::NegativeInit { mode: 1 });
+        // An orthonormal range basis has entries of both signs.
+        let err = CpAls::new(multiplicative(2).init(InitStrategy::RandomizedRange))
+            .run(&t, &mut CooBackend::new(&t))
+            .unwrap_err();
+        assert!(matches!(err, CpAlsError::NegativeInit { .. }), "{err:?}");
+        // Pairwise perturbation lags multiplicative updates; the pair is
+        // refused.
+        let err = CpAls::new(multiplicative(2).pp(PpConfig::new()))
+            .run(&t, &mut CooBackend::new(&t))
+            .unwrap_err();
+        assert_eq!(err, CpAlsError::PpWithMultiplicative);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! reuses it for every mode, with no invalidation at all between modes.
 
 use crate::backend::MttkrpBackend;
+use crate::cpals::check_input;
+use crate::error::CpAlsError;
 use crate::init::{init_factors, InitStrategy};
 use crate::model::CpModel;
 use adatm_linalg::Mat;
@@ -36,8 +38,10 @@ pub struct CpOptOptions {
 
 impl CpOptOptions {
     /// Defaults: 100 iterations, tolerance `1e-8`, seed 0, step 1.
+    ///
+    /// A rank of 0 is rejected with [`CpAlsError::ZeroRank`] when the
+    /// solver runs.
     pub fn new(rank: usize) -> Self {
-        assert!(rank > 0, "rank must be positive");
         CpOptOptions { rank, max_iters: 100, tol: 1e-8, seed: 0, step0: 1.0 }
     }
 
@@ -121,11 +125,15 @@ fn objective_and_gradient<B: MttkrpBackend + ?Sized>(
 
 /// Runs CP-OPT (gradient descent with Armijo backtracking) over any
 /// MTTKRP backend.
+///
+/// Returns the same typed input errors as CP-ALS (zero rank, fewer than
+/// two modes, non-finite tensor values) instead of panicking.
 pub fn cp_opt<B: MttkrpBackend + ?Sized>(
     tensor: &SparseTensor,
     backend: &mut B,
     opts: &CpOptOptions,
-) -> CpOptResult {
+) -> Result<CpOptResult, CpAlsError> {
+    check_input(tensor, opts.rank)?;
     let xnorm2 = tensor.fro_norm_sq();
     let mut factors = init_factors(tensor, opts.rank, opts.seed, InitStrategy::Random);
     // Scale the random init down: gradient descent on CP blows up from
@@ -190,12 +198,12 @@ pub fn cp_opt<B: MttkrpBackend + ?Sized>(
         }
     }
 
-    CpOptResult {
+    Ok(CpOptResult {
         model: CpModel { lambda: vec![1.0; opts.rank], factors },
         iters,
         objective_history: history,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -212,7 +220,8 @@ mod tests {
             &truth.tensor,
             &mut backend,
             &CpOptOptions::new(2).max_iters(30).tol(0.0).seed(5),
-        );
+        )
+        .unwrap();
         assert!(res.iters > 0, "no accepted steps");
         for w in res.objective_history.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "objective increased: {} -> {}", w[0], w[1]);
@@ -251,7 +260,8 @@ mod tests {
         let truth = dense_low_rank(&[8, 7, 6], 2, 0.0, 11);
         let t = &truth.tensor;
         let mut backend = DtreeBackend::balanced_binary(t, 2);
-        let res = cp_opt(t, &mut backend, &CpOptOptions::new(2).max_iters(400).tol(0.0).seed(1));
+        let res =
+            cp_opt(t, &mut backend, &CpOptOptions::new(2).max_iters(400).tol(0.0).seed(1)).unwrap();
         let final_obj = *res.objective_history.last().unwrap();
         let rel = (2.0 * final_obj).sqrt() / t.fro_norm();
         assert!(rel < 0.3, "relative residual {rel}");

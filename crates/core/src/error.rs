@@ -1,7 +1,8 @@
-//! The typed failure surface of the CP-ALS driver.
+//! The typed failure surface of the CP-ALS driver and CP-OPT.
 //!
-//! [`CpAls::run`](crate::CpAls::run) and
-//! [`CpAls::run_from`](crate::CpAls::run_from) return [`CpAlsError`] for
+//! [`CpAls::run`](crate::CpAls::run),
+//! [`CpAls::run_from`](crate::CpAls::run_from) and
+//! [`cp_opt`](crate::cp_opt) return [`CpAlsError`] for
 //! malformed caller input instead of panicking, so a service embedding the
 //! solver can translate every failure into a response instead of crashing
 //! a worker. Numeric breakdowns *during* a run are not errors: the solver
@@ -45,6 +46,21 @@ pub enum CpAlsError {
         /// Which mode's factor is non-finite.
         mode: usize,
     },
+    /// The multiplicative update rule (nonnegative CP) was given a tensor
+    /// with a negative value.
+    NegativeTensor,
+    /// A starting factor for the multiplicative update rule has a
+    /// negative entry (for example from
+    /// [`InitStrategy::RandomizedRange`](crate::InitStrategy::RandomizedRange)).
+    NegativeInit {
+        /// Which mode's factor is negative.
+        mode: usize,
+    },
+    /// Pairwise perturbation was configured with the multiplicative
+    /// update rule. Its approximate sweeps slow that rule's progress: on
+    /// a settling low-rank tensor the PP run's fit trailed the exact
+    /// run's by more than `1e-4` after 400 iterations.
+    PpWithMultiplicative,
     /// A dense kernel failed in a way no recovery policy could absorb.
     Linalg(LinalgError),
     /// The checkpoint store could not be opened, or a checkpoint being
@@ -77,6 +93,18 @@ impl std::fmt::Display for CpAlsError {
             CpAlsError::NonFiniteInit { mode } => {
                 write!(f, "initial factor for mode {mode} contains non-finite (NaN/Inf) values")
             }
+            CpAlsError::NegativeTensor => {
+                write!(f, "nonnegative CP (multiplicative updates) needs a nonnegative tensor")
+            }
+            CpAlsError::PpWithMultiplicative => write!(
+                f,
+                "pairwise perturbation is not supported with multiplicative updates (nonnegative CP)"
+            ),
+            CpAlsError::NegativeInit { mode } => write!(
+                f,
+                "initial factor for mode {mode} has negative entries, which multiplicative \
+                 updates cannot start from"
+            ),
             CpAlsError::Linalg(e) => write!(f, "unrecoverable dense-kernel failure: {e}"),
             CpAlsError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }

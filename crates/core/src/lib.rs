@@ -9,8 +9,10 @@
 //!   its implementations: element-wise COO (Tensor-Toolbox class),
 //!   SPLATT-style CSF, dimension-tree memoization (any shape), and the
 //!   model-driven adaptive backend;
-//! * [`cpals`] — the CP-ALS loop: MTTKRP, Hadamard-of-Grams normal
-//!   equations, pseudoinverse solve, column normalization, efficient fit;
+//! * [`cpals`] — the alternating loop: MTTKRP, Hadamard-of-Grams, then
+//!   one of two update rules — the CP-ALS pseudoinverse solve with column
+//!   normalization, or nonnegative CP's multiplicative update
+//!   ([`cpals::UpdateRule`]) — and the efficient fit;
 //! * [`model`] — the decomposition result type [`model::CpModel`];
 //! * [`decompose`] / [`decompose_with`] — one-call conveniences.
 //!
@@ -41,7 +43,6 @@ pub mod error;
 pub mod fault;
 pub mod init;
 pub mod model;
-pub mod ncp;
 pub mod tucker;
 
 pub use backend::{
@@ -52,7 +53,7 @@ pub use checkpoint::{
     CpCheckpoint, FsMedium, ResumeOutcome,
 };
 pub use completion::{complete, CompletionOptions, CompletionResult};
-pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig};
+pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig, UpdateRule};
 pub use cpopt::{cp_opt, CpOptOptions, CpOptResult};
 pub use diagnostics::{BreakdownEvent, BreakdownKind, RecoveryAction, RunDiagnostics, StopReason};
 pub use error::CpAlsError;
@@ -63,7 +64,6 @@ pub use fault::{
 };
 pub use init::InitStrategy;
 pub use model::{factor_match_score, CpModel};
-pub use ncp::{ncp, NcpOptions, NcpResult};
 pub use tucker::{hooi, TuckerModel, TuckerOptions, TuckerResult};
 
 use adatm_tensor::SparseTensor;

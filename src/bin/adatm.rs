@@ -17,10 +17,10 @@ use adatm::tensor::io::{
 };
 use adatm::tensor::stats::TensorStats;
 use adatm::{
-    complete, cp_opt, decompose_with, hooi, ncp, AdaptiveBackend, AdmissionError, CheckpointConfig,
-    CheckpointStore, CompletionOptions, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions,
-    CsfBackend, DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, NcpOptions, Planner,
-    PpConfig, SparseTensor, TreeShape, TuckerOptions,
+    complete, cp_opt, hooi, AdaptiveBackend, AdmissionError, CheckpointConfig, CheckpointStore,
+    CompletionOptions, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpModel, CpOptOptions,
+    CsfBackend, DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, Planner, PpConfig,
+    SparseTensor, TreeShape, TuckerOptions, UpdateRule,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -190,20 +190,22 @@ fn print_usage() -> Result<(), CliError> {
          (suggested 0.02); exact sweeps resume on any recovery\n  \
          --pp-every K            force an exact sweep every K iterations while PP is\n                          \
          active (default 5; re-baselines the memoized intermediates)\n\n\
-         DURABILITY (--algo als only):\n  \
+         DURABILITY (--algo als|ncp):\n  \
          --checkpoint-dir DIR    write rotated, checksummed checkpoints under DIR\n  \
          --checkpoint-every N    write every N completed iterations (default 1)\n  \
          --resume                restart from the newest readable checkpoint in DIR,\n                          \
-         continuing bitwise-identically to the uninterrupted run\n  \
-         --mem-budget MIB        admission control: reject or degrade any plan whose\n                          \
-         predicted resident memory exceeds the budget\n\n\
+         continuing bitwise-identically to the uninterrupted run\n\n\
+         ADMISSION (adaptive backend):\n  \
+         --mem-budget MIB        reject or degrade any plan whose predicted resident\n                          \
+         memory exceeds the budget\n\n\
          EXIT CODES:\n  \
          0  success\n  \
-         2  usage error (bad flag, missing argument, unknown subcommand)\n  \
+         2  usage error (bad flag, missing argument, unknown subcommand, or a flag\n     \
+         the subcommand or its --algo does not act on)\n  \
          3  file i/o error\n  \
          4  malformed tensor file\n  \
          5  tensor file contains non-finite values\n  \
-         6  solver rejected its input (rank/shape/finiteness validation)\n  \
+         6  solver rejected its input (rank/shape/finiteness/sign validation)\n  \
          7  unrecoverable numerical failure during the solve\n  \
          8  checkpoint failure (store unusable, or --resume found nothing readable)\n  \
          9  admission control rejected the run (nothing fits --mem-budget)"
@@ -211,15 +213,61 @@ fn print_usage() -> Result<(), CliError> {
     Ok(())
 }
 
+/// Flags `generate` accepts (`-o` is its spelling of `--out`).
+const GENERATE_FLAGS: &[&str] = &["dims", "nnz", "skew", "seed", "out"];
+/// Flags `plan` accepts.
+const PLAN_FLAGS: &[&str] = &["rank", "estimator", "budget-mib", "trace"];
+/// Flags `decompose` accepts; [`ALGO_ONLY`] narrows some to a few
+/// `--algo`s.
+const DECOMPOSE_FLAGS: &[&str] = &[
+    "rank",
+    "iters",
+    "tol",
+    "seed",
+    "backend",
+    "shape",
+    "algo",
+    "reg",
+    "ranks",
+    "out",
+    "trace",
+    "drift-factor",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "resume",
+    "mem-budget",
+    "pp-tol",
+    "pp-every",
+];
+/// `decompose` flags only some `--algo`s act on, with those algorithms.
+const ALGO_ONLY: &[(&str, &[&str])] = &[
+    ("checkpoint-dir", &["als", "ncp"]),
+    ("checkpoint-every", &["als", "ncp"]),
+    ("resume", &["als", "ncp"]),
+    ("pp-tol", &["als"]),
+    ("pp-every", &["als"]),
+    ("drift-factor", &["als", "ncp"]),
+    ("reg", &["complete"]),
+    ("ranks", &["tucker"]),
+];
+
 /// Splits `args` into positionals and `--flag value` options (flags with
 /// no following value or followed by another flag get an empty value).
-fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// A flag not in `accepted` is a usage error: a mistyped flag must not
+/// silently fall back to a default.
+fn parse_args(
+    args: &[String],
+    accepted: &[&str],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut pos = Vec::new();
     let mut opts = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                return Err(format!("unknown flag '--{name}' (try --help)"));
+            }
             let val = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
@@ -228,6 +276,9 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>),
             };
             opts.insert(name.to_string(), val);
         } else if a == "-o" {
+            if !accepted.contains(&"out") {
+                return Err("unknown flag '-o' (try --help)".into());
+            }
             if i + 1 >= args.len() {
                 return Err("-o requires a path".into());
             }
@@ -299,7 +350,7 @@ fn store(t: &SparseTensor, path: &str) -> Result<(), CliError> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_args(args)?;
+    let (pos, _) = parse_args(args, &[])?;
     let path = pos.first().ok_or("info requires a tensor file")?;
     let t = load(path)?;
     let s = TensorStats::compute(&t);
@@ -314,7 +365,7 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_args(args)?;
+    let (pos, _) = parse_args(args, &[])?;
     if pos.len() != 2 {
         return Err("convert requires <in> and <out>".into());
     }
@@ -325,7 +376,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let (_, opts) = parse_args(args)?;
+    let (_, opts) = parse_args(args, GENERATE_FLAGS)?;
     let dims_s = opts.get("dims").ok_or("generate requires --dims AxBxC")?;
     let dims: Vec<usize> = dims_s
         .split(['x', 'X'])
@@ -368,7 +419,7 @@ fn parse_estimator(opts: &HashMap<String, String>) -> Result<NnzEstimator, Strin
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
-    let (pos, opts) = parse_args(args)?;
+    let (pos, opts) = parse_args(args, PLAN_FLAGS)?;
     install_trace(&opts)?;
     let path = pos.first().ok_or("plan requires a tensor file")?;
     let t = load(path)?;
@@ -544,7 +595,19 @@ fn push_row(s: &mut String, row: &[f64]) {
 }
 
 fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
-    let (pos, opts) = parse_args(args)?;
+    let (pos, opts) = parse_args(args, DECOMPOSE_FLAGS)?;
+    let algo = opts.get("algo").map_or("als", String::as_str);
+    let rule = match algo {
+        "als" => Some(UpdateRule::LeastSquares),
+        "ncp" => Some(UpdateRule::Multiplicative),
+        "cpopt" | "complete" | "tucker" => None,
+        other => return Err(format!("unknown algorithm '{other}'").into()),
+    };
+    for (flag, algos) in ALGO_ONLY {
+        if opts.contains_key(*flag) && !algos.contains(&algo) {
+            return Err(format!("--{flag} applies to --algo {} only", algos.join("|")).into());
+        }
+    }
     install_trace(&opts)?;
     let path = pos.first().ok_or("decompose requires a tensor file")?;
     let t = load(path)?;
@@ -553,8 +616,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     let tol = opt_parse(&opts, "tol", 1e-5f64)?;
     let seed = opt_parse(&opts, "seed", 0u64)?;
     check_solver_input(&t, rank)?;
-    let algo = opts.get("algo").map(String::as_str);
-    if algo == Some("tucker") {
+    if algo == "tucker" {
         // Tucker runs on TTM chains directly, not an MTTKRP backend.
         let ranks: Vec<usize> = match opts.get("ranks") {
             Some(s) => s
@@ -582,7 +644,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if algo == Some("complete") {
+    if algo == "complete" {
         // Completion fits observed entries directly, not through an
         // MTTKRP backend, so no backend is planned or built.
         let reg = opt_parse(&opts, "reg", 0.1f64)?;
@@ -604,12 +666,6 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     // fallback to analytic costs.
     let uses_planner = !opts.contains_key("shape")
         && matches!(opts.get("backend").map(String::as_str), None | Some("adaptive"));
-    if algo == Some("ncp") && t.vals().iter().any(|&v| v < 0.0) {
-        return Err(CliError {
-            code: EXIT_SOLVER_INPUT,
-            msg: "nonnegative CP (--algo ncp) needs a nonnegative tensor".to_string(),
-        });
-    }
     let profile = if uses_planner { checked_profile()? } else { None };
     let mem_budget = parse_mem_budget(&opts)?;
     if mem_budget.is_some() && !uses_planner {
@@ -617,101 +673,14 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     }
     let mut backend = make_backend(&t, rank, &opts, profile, mem_budget)?;
     outln!("backend: {}", backend.name());
-    let model = match algo {
-        None | Some("als") => {
-            let drift = opt_parse(&opts, "drift-factor", 2.0f64)?;
-            let mut o =
-                CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed).drift_factor(drift);
-            if opts.contains_key("pp-tol") || opts.contains_key("pp-every") {
-                let pp_tol = opt_parse(&opts, "pp-tol", 0.02f64)?;
-                let pp_every = opt_parse(&opts, "pp-every", 5usize)?;
-                if !pp_tol.is_finite() || pp_tol <= 0.0 {
-                    return Err("--pp-tol must be positive".into());
-                }
-                o = o.pp(PpConfig::new().tol(pp_tol).every(pp_every));
-            }
-            let ckpt_dir = opts.get("checkpoint-dir");
-            let resume = opts.contains_key("resume");
-            if (resume || opts.contains_key("checkpoint-every")) && ckpt_dir.is_none() {
-                return Err("--resume/--checkpoint-every need --checkpoint-dir".into());
-            }
-            if let Some(dir) = ckpt_dir {
-                if dir.is_empty() {
-                    return Err("--checkpoint-dir requires a path".into());
-                }
-                let every = opt_parse(&opts, "checkpoint-every", 1usize)?;
-                o = o.checkpoint(CheckpointConfig::new(dir).every_iters(every));
-            }
-            let res = if resume {
-                let dir = ckpt_dir.expect("checked above");
-                let outcome = CheckpointStore::load_latest(Path::new(dir))
-                    .map_err(|e| CliError { code: EXIT_CHECKPOINT, msg: e.to_string() })?;
-                // The run continues the checkpoint's trajectory, so its
-                // seed wins over --seed (a mismatch would be a typed
-                // resume error, not a silently different model).
-                if outcome.checkpoint.seed != seed && opts.contains_key("seed") {
-                    outln!(
-                        "note: --seed {seed} ignored; resuming with checkpoint seed {}",
-                        outcome.checkpoint.seed
-                    );
-                }
-                outln!(
-                    "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
-                    outcome.path.display(),
-                    outcome.generation,
-                    outcome.checkpoint.next_iter,
-                    outcome.fallbacks.len()
-                );
-                o = o.seed(outcome.checkpoint.seed);
-                CpAls::new(o).resume_from(&t, backend.as_mut(), outcome.checkpoint)?
-            } else {
-                decompose_with(&t, &o, &mut backend)?
-            };
-            outln!(
-                "als: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
-                res.iters,
-                res.final_fit(),
-                res.converged,
-                res.timings.mttkrp.as_secs_f64(),
-                res.timings.dense.as_secs_f64(),
-                res.timings.fit.as_secs_f64()
-            );
-            if res.diagnostics.pp_sweeps > 0 {
-                outln!(
-                    "pp: {} approximate sweep(s), {} baseline refresh(es), {:.2} ms/sweep vs {:.2} ms exact",
-                    res.diagnostics.pp_sweeps,
-                    res.diagnostics.pp_refreshes,
-                    res.diagnostics.pp_sweep_ns.unwrap_or(f64::NAN) / 1e6,
-                    res.diagnostics.exact_sweep_ns.unwrap_or(f64::NAN) / 1e6
-                );
-            }
-            if res.diagnostics.recoveries > 0 || res.diagnostics.degraded {
-                outln!(
-                    "resilience: {} breakdown event(s), {} recover(ies), stop: {:?}",
-                    res.diagnostics.events.len(),
-                    res.diagnostics.recoveries,
-                    res.diagnostics.stop
-                );
-            }
-            if opts.contains_key("trace") {
-                outln!("trace: {}", res.trace_summary());
-            }
-            res.model
+    let model = match rule {
+        Some(rule) => {
+            let o = CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed).update(rule);
+            run_alternating(&t, backend.as_mut(), &opts, o, algo)?
         }
-        Some("ncp") => {
-            let o = NcpOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
-            let res = ncp(&t, &mut backend, &o);
-            outln!(
-                "ncp: {} iters, fit {:.5}, converged {}",
-                res.iters,
-                res.final_fit(),
-                res.converged
-            );
-            res.model
-        }
-        Some("cpopt") => {
+        None => {
             let o = CpOptOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
-            let res = cp_opt(&t, &mut backend, &o);
+            let res = cp_opt(&t, &mut backend, &o)?;
             outln!(
                 "cpopt: {} iters, objective {:.5e}, converged {}",
                 res.iters,
@@ -720,7 +689,6 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             );
             res.model
         }
-        Some(other) => return Err(format!("unknown algorithm '{other}'").into()),
     };
     // Free the tensor and the backend's structures first, so the writer's
     // buffers never add to the run's peak memory.
@@ -730,4 +698,93 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         write_factors(dir, &model)?;
     }
     Ok(())
+}
+
+/// Runs `--algo als|ncp` (one [`CpAls`] session; `o` carries the update
+/// rule) with the drift, pairwise-perturbation and checkpoint flags, from
+/// scratch or `--resume`d, and prints the summary lines under `label`.
+fn run_alternating(
+    t: &SparseTensor,
+    backend: &mut dyn MttkrpBackend,
+    opts: &HashMap<String, String>,
+    mut o: CpAlsOptions,
+    label: &str,
+) -> Result<CpModel, CliError> {
+    o = o.drift_factor(opt_parse(opts, "drift-factor", 2.0f64)?);
+    if opts.contains_key("pp-tol") || opts.contains_key("pp-every") {
+        let pp_tol = opt_parse(opts, "pp-tol", 0.02f64)?;
+        let pp_every = opt_parse(opts, "pp-every", 5usize)?;
+        if !pp_tol.is_finite() || pp_tol <= 0.0 {
+            return Err("--pp-tol must be positive".into());
+        }
+        o = o.pp(PpConfig::new().tol(pp_tol).every(pp_every));
+    }
+    let ckpt_dir = opts.get("checkpoint-dir");
+    let resume = opts.contains_key("resume");
+    if (resume || opts.contains_key("checkpoint-every")) && ckpt_dir.is_none() {
+        return Err("--resume/--checkpoint-every need --checkpoint-dir".into());
+    }
+    if let Some(dir) = ckpt_dir {
+        if dir.is_empty() {
+            return Err("--checkpoint-dir requires a path".into());
+        }
+        let every = opt_parse(opts, "checkpoint-every", 1usize)?;
+        o = o.checkpoint(CheckpointConfig::new(dir).every_iters(every));
+    }
+    let res = match ckpt_dir.filter(|_| resume) {
+        Some(dir) => {
+            let outcome = CheckpointStore::load_latest(Path::new(dir))
+                .map_err(|e| CliError { code: EXIT_CHECKPOINT, msg: e.to_string() })?;
+            // The run continues the checkpoint's trajectory, so its seed
+            // wins over --seed (a mismatch would be a typed resume error,
+            // not a silently different model).
+            if outcome.checkpoint.seed != o.seed && opts.contains_key("seed") {
+                outln!(
+                    "note: --seed {} ignored; resuming with checkpoint seed {}",
+                    o.seed,
+                    outcome.checkpoint.seed
+                );
+            }
+            outln!(
+                "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
+                outcome.path.display(),
+                outcome.generation,
+                outcome.checkpoint.next_iter,
+                outcome.fallbacks.len()
+            );
+            o = o.seed(outcome.checkpoint.seed);
+            CpAls::new(o).resume_from(t, backend, outcome.checkpoint)?
+        }
+        None => CpAls::new(o).run(t, backend)?,
+    };
+    outln!(
+        "{label}: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
+        res.iters,
+        res.final_fit(),
+        res.converged,
+        res.timings.mttkrp.as_secs_f64(),
+        res.timings.dense.as_secs_f64(),
+        res.timings.fit.as_secs_f64()
+    );
+    if res.diagnostics.pp_sweeps > 0 {
+        outln!(
+            "pp: {} approximate sweep(s), {} baseline refresh(es), {:.2} ms/sweep vs {:.2} ms exact",
+            res.diagnostics.pp_sweeps,
+            res.diagnostics.pp_refreshes,
+            res.diagnostics.pp_sweep_ns.unwrap_or(f64::NAN) / 1e6,
+            res.diagnostics.exact_sweep_ns.unwrap_or(f64::NAN) / 1e6
+        );
+    }
+    if res.diagnostics.recoveries > 0 || res.diagnostics.degraded {
+        outln!(
+            "resilience: {} breakdown event(s), {} recover(ies), stop: {:?}",
+            res.diagnostics.events.len(),
+            res.diagnostics.recoveries,
+            res.diagnostics.stop
+        );
+    }
+    if opts.contains_key("trace") {
+        outln!("trace: {}", res.trace_summary());
+    }
+    Ok(res.model)
 }

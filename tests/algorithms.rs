@@ -1,20 +1,26 @@
 //! Cross-crate tests of the alternative MTTKRP clients: nonnegative CP
-//! and CP-OPT, over every backend kind.
+//! (the multiplicative update rule of `CpAls`) and CP-OPT, over every
+//! backend kind.
 
 use adatm::tensor::gen::zipf_tensor;
 use adatm::{
-    all_backends, cp_opt, ncp, CpAlsOptions, CpOptOptions, CsfBackend, DtreeBackend, InitStrategy,
-    NcpOptions,
+    all_backends, cp_opt, CpAls, CpAlsError, CpAlsOptions, CpOptOptions, CsfBackend, DtreeBackend,
+    InitStrategy, SparseTensor, UpdateRule,
 };
+
+/// Nonnegative CP options: the multiplicative update rule.
+fn ncp(rank: usize) -> CpAlsOptions {
+    CpAlsOptions::new(rank).update(UpdateRule::Multiplicative)
+}
 
 #[test]
 fn ncp_runs_on_every_backend_with_identical_trajectories() {
     let t = zipf_tensor(&[20, 25, 15, 18], 1_200, &[0.7; 4], 42);
-    let opts = NcpOptions::new(4).max_iters(6).tol(0.0).seed(8);
+    let solver = CpAls::new(ncp(4).max_iters(6).tol(0.0).seed(8));
     let natural: Vec<usize> = (0..4).collect();
     let mut reference: Option<Vec<f64>> = None;
     for mut b in all_backends(&t, 4) {
-        let res = ncp(&t, &mut b, &opts);
+        let res = solver.run(&t, &mut b).unwrap();
         if b.mode_order(4) != natural {
             assert!(res.final_fit().is_finite());
             continue;
@@ -34,7 +40,7 @@ fn ncp_runs_on_every_backend_with_identical_trajectories() {
 fn ncp_improves_over_its_first_iteration() {
     let t = zipf_tensor(&[30, 25, 20], 2_000, &[0.8; 3], 4);
     let mut b = CsfBackend::new(&t);
-    let res = ncp(&t, &mut b, &NcpOptions::new(6).max_iters(30).tol(0.0).seed(5));
+    let res = CpAls::new(ncp(6).max_iters(30).tol(0.0).seed(5)).run(&t, &mut b).unwrap();
     assert!(res.final_fit() > res.fit_history[0], "no progress");
 }
 
@@ -44,8 +50,8 @@ fn cpopt_objective_consistent_across_backends() {
     let opts = CpOptOptions::new(3).max_iters(15).tol(0.0).seed(2);
     let mut coo = adatm::CooBackend::new(&t);
     let mut bdt = DtreeBackend::balanced_binary(&t, 3);
-    let a = cp_opt(&t, &mut coo, &opts);
-    let b = cp_opt(&t, &mut bdt, &opts);
+    let a = cp_opt(&t, &mut coo, &opts).unwrap();
+    let b = cp_opt(&t, &mut bdt, &opts).unwrap();
     assert_eq!(a.iters, b.iters);
     for (x, y) in a.objective_history.iter().zip(b.objective_history.iter()) {
         let denom = x.abs().max(1e-12);
@@ -78,11 +84,30 @@ fn three_algorithms_reduce_residual_on_same_data() {
     assert!(als.final_fit() > 0.1, "als fit {}", als.final_fit());
 
     let mut b2 = adatm::CooBackend::new(&t);
-    let n = ncp(&t, &mut b2, &NcpOptions::new(4).max_iters(40).tol(0.0).seed(1));
+    let n = CpAls::new(ncp(4).max_iters(40).tol(0.0).seed(1)).run(&t, &mut b2).unwrap();
     assert!(n.final_fit() > 0.05, "ncp fit {}", n.final_fit());
 
     let mut b3 = adatm::CooBackend::new(&t);
-    let g = cp_opt(&t, &mut b3, &CpOptOptions::new(4).max_iters(60).tol(0.0).seed(1));
+    let g = cp_opt(&t, &mut b3, &CpOptOptions::new(4).max_iters(60).tol(0.0).seed(1)).unwrap();
     let resid = (2.0 * g.objective_history.last().unwrap()).sqrt();
     assert!(resid < xnorm, "cpopt made no progress: {resid} vs {xnorm}");
+}
+
+#[test]
+fn cpopt_rejects_malformed_input_with_typed_errors() {
+    let t = zipf_tensor(&[10, 12, 8], 200, &[0.3; 3], 5);
+    let mut b = adatm::CooBackend::new(&t);
+    let err = cp_opt(&t, &mut b, &CpOptOptions::new(0)).unwrap_err();
+    assert_eq!(err, CpAlsError::ZeroRank);
+
+    let one_mode = SparseTensor::from_entries(vec![5], &[(vec![1], 2.0), (vec![3], 1.0)]);
+    let mut b = adatm::CooBackend::new(&one_mode);
+    let err = cp_opt(&one_mode, &mut b, &CpOptOptions::new(2)).unwrap_err();
+    assert_eq!(err, CpAlsError::TooFewModes { ndim: 1 });
+
+    let mut nan = t.clone();
+    nan.vals_mut()[3] = f64::NAN;
+    let mut b = adatm::CooBackend::new(&nan);
+    let err = cp_opt(&nan, &mut b, &CpOptOptions::new(2)).unwrap_err();
+    assert_eq!(err, CpAlsError::NonFiniteTensor);
 }

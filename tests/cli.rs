@@ -30,6 +30,44 @@ fn unknown_subcommand_exits_with_usage_code() {
     let out = adatm().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+
+    // A flag the subcommand, or its --algo, would not act on is a usage
+    // error too, never a silently ignored option. `{t}` is a valid tensor
+    // and `{ck}` a checkpoint directory no rejected run may create.
+    let dir = tmpdir("usage");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "10x10x10", "--nnz", "100", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    let ck = dir.join("ck");
+    let (t, ck_s) = (tns.to_str().unwrap(), ck.to_str().unwrap());
+    let cases: [&[&str]; 12] = [
+        &["decompose", t, "--iter", "3"],
+        &["decompose", t, "--algo", "ncp", "--checkpoint-dir", ck_s, "--pp-tol", "0.1"],
+        &["decompose", t, "--algo", "ncp", "--pp-every", "3"],
+        &["decompose", t, "--algo", "cpopt", "--resume"],
+        &["decompose", t, "--algo", "cpopt", "--checkpoint-dir", ck_s],
+        &["decompose", t, "--algo", "complete", "--checkpoint-every", "2"],
+        &["decompose", t, "--algo", "tucker", "--pp-tol", "0.1"],
+        &["decompose", t, "--algo", "tucker", "--drift-factor", "3"],
+        &["decompose", t, "--algo", "als", "--ranks", "2x2x2"],
+        &["decompose", t, "--algo", "svd"],
+        &["plan", t, "--iters", "2"],
+        &["info", t, "-o", ck_s],
+    ];
+    for argv in cases {
+        let out = adatm().args(argv).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{argv:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!ck.exists(), "{argv:?} created the checkpoint directory");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -63,9 +101,10 @@ fn non_finite_tensor_exits_with_nonfinite_code() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every argv in the table runs against every bad input on both the
-/// adaptive (planner) backend and `--backend coo`, and must exit with
-/// the input's documented code — never with a panic (101).
+/// Every argv in the table runs against every bad input — each
+/// `decompose` on both the adaptive (planner) backend and `--backend
+/// coo` — and must exit with the input's documented code, never with a
+/// panic (101).
 #[test]
 fn invalid_solver_input_exits_with_documented_code() {
     let dir = tmpdir("badinput");
@@ -105,10 +144,14 @@ fn invalid_solver_input_exits_with_documented_code() {
     ];
     for (input, rank, codes) in &cases {
         for (argv, &code) in commands.iter().zip(codes) {
-            for backend in [None, Some("coo")] {
+            let backends: &[_] = if argv[0] == "plan" { &[None] } else { &[None, Some("coo")] };
+            for backend in backends {
                 let mut cmd = adatm();
                 cmd.arg(argv[0]).arg(input).args(&argv[1..]);
-                cmd.args(["--rank", rank, "--iters", "2"]);
+                cmd.args(["--rank", rank]);
+                if argv[0] == "decompose" {
+                    cmd.args(["--iters", "2"]);
+                }
                 if let Some(b) = backend {
                     cmd.args(["--backend", b]);
                 }
@@ -342,6 +385,28 @@ fn decompose_ncp_and_cpopt_run() {
         // Completion never touches an MTTKRP backend, so none is built.
         assert_eq!(text.contains("backend:"), algo != "complete", "{algo}: {text}");
     }
+    // NCP checkpoints and resumes like ALS: the resumed run continues
+    // from the newest generation to the same summary.
+    let ck = dir.join("ck");
+    let ncp = |extra: &[&str]| {
+        let out = adatm()
+            .arg("decompose")
+            .arg(&tns)
+            .args(["--rank", "3", "--algo", "ncp", "--backend", "coo", "--tol", "0"])
+            .args(["--checkpoint-every", "2", "--checkpoint-dir"])
+            .arg(&ck)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let first = ncp(&["--iters", "5"]);
+    assert!(first.contains("ncp: 5 iters"), "{first}");
+    assert!(ck.read_dir().unwrap().next().is_some(), "no checkpoint written");
+    let resumed = ncp(&["--iters", "8", "--resume"]);
+    assert!(resumed.contains("iteration 4"), "{resumed}");
+    assert!(resumed.contains("ncp: 8 iters"), "{resumed}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

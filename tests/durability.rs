@@ -11,7 +11,7 @@
 use adatm::tensor::gen::dense_low_rank;
 use adatm::{
     CheckpointConfig, CheckpointError, CheckpointStore, CooBackend, CpAls, CpAlsError,
-    CpAlsOptions, CpResult, StopReason,
+    CpAlsOptions, CpResult, StopReason, UpdateRule,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -62,27 +62,31 @@ fn assert_bitwise_identical(a: &CpResult, b: &CpResult) {
 #[test]
 fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
     let t = ground_truth();
-    let dir = tmp_dir("kill-resume");
+    for (rule, tag) in [(UpdateRule::LeastSquares, "als"), (UpdateRule::Multiplicative, "ncp")] {
+        let dir = tmp_dir(&format!("kill-resume-{tag}"));
+        let opts = |max_iters| opts(max_iters).update(rule);
 
-    // Reference: one uninterrupted 20-iteration run, no checkpointing.
-    let reference = CpAls::new(opts(20)).run(&t, &mut backend(&t)).unwrap();
+        // Reference: one uninterrupted 20-iteration run, no checkpointing.
+        let reference = CpAls::new(opts(20)).run(&t, &mut backend(&t)).unwrap();
 
-    // "Killed" run: checkpoint every iteration, stop after 7 — the state
-    // on disk is exactly what a kill after iteration 7's write leaves.
-    let cfg = CheckpointConfig::new(&dir).every_iters(1);
-    let killed = CpAls::new(opts(7).checkpoint(cfg.clone())).run(&t, &mut backend(&t)).unwrap();
-    assert_eq!(killed.iters, 7);
+        // "Killed" run: checkpoint every iteration, stop after 7 — the
+        // state on disk is exactly what a kill after iteration 7's write
+        // leaves.
+        let cfg = CheckpointConfig::new(&dir).every_iters(1);
+        let killed = CpAls::new(opts(7).checkpoint(cfg.clone())).run(&t, &mut backend(&t)).unwrap();
+        assert_eq!(killed.iters, 7);
 
-    // Resume from the newest generation and finish the remaining 13.
-    let outcome = CheckpointStore::load_latest(&dir).unwrap();
-    assert_eq!(outcome.checkpoint.next_iter, 7);
-    assert!(outcome.fallbacks.is_empty());
-    let resumed = CpAls::new(opts(20).checkpoint(cfg))
-        .resume_from(&t, &mut backend(&t), outcome.checkpoint)
-        .unwrap();
+        // Resume from the newest generation and finish the remaining 13.
+        let outcome = CheckpointStore::load_latest(&dir).unwrap();
+        assert_eq!(outcome.checkpoint.next_iter, 7);
+        assert!(outcome.fallbacks.is_empty());
+        let resumed = CpAls::new(opts(20).checkpoint(cfg))
+            .resume_from(&t, &mut backend(&t), outcome.checkpoint)
+            .unwrap();
 
-    assert_bitwise_identical(&reference, &resumed);
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_bitwise_identical(&reference, &resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -197,6 +201,16 @@ fn resume_validation_mismatches_are_typed() {
         CpAls::new(opts(5).seed(7)).resume_from(&t, &mut backend(&t), ckpt.clone()).unwrap_err();
     assert!(
         matches!(&err, CpAlsError::Checkpoint(CheckpointError::Mismatch { what }) if what.contains("seed")),
+        "got {err:?}"
+    );
+
+    // Wrong update rule: a least-squares checkpoint (normalized λ) is no
+    // multiplicative-update state.
+    let err = CpAls::new(opts(5).update(UpdateRule::Multiplicative))
+        .resume_from(&t, &mut backend(&t), ckpt.clone())
+        .unwrap_err();
+    assert!(
+        matches!(&err, CpAlsError::Checkpoint(CheckpointError::Mismatch { what }) if what.contains("multiplicative")),
         "got {err:?}"
     );
 

@@ -603,7 +603,10 @@ fn drift_detector_excludes_recovered_iterations_from_the_average() {
     // non-clean so the fixed average excludes it.
     let sched =
         FaultSchedule::new().at_call(30, FaultKind::StallMs(200)).at_call(31, FaultKind::PoisonNan);
-    let faulty = FaultInjectingBackend::new(CooBackend::new(&t), sched);
+    // Sequential COO: a clean sweep then costs no thread hand-offs, whose
+    // scheduling jitter on a small, loaded host pushed the parallel
+    // backend's clean average toward the 2 ms threshold.
+    let faulty = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
     // Predict 1 ms/iter: far above a clean ~10x10x10 sweep (so clean
     // iterations can never trip the 2x default factor) yet far below the
     // 200 ms stall smeared over 30 iterations (so the old all-iteration

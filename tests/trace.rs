@@ -10,6 +10,7 @@ use adatm::tensor::gen::dense_low_rank;
 use adatm::trace::{field_f64, field_str, field_u64};
 use adatm::{
     AdaptiveBackend, BreakdownKind, CooBackend, CpAls, CpAlsOptions, KernelProfile, Planner,
+    UpdateRule,
 };
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
@@ -44,12 +45,24 @@ fn underpredicting_profile() -> KernelProfile {
 
 #[test]
 fn traced_run_emits_planner_decisions_stages_and_nested_spans() {
+    // The multiplicative rule reports its update as one `mu` stage in
+    // place of `solve` and `normalize`.
+    let cases = [
+        (UpdateRule::LeastSquares, ["solve", "normalize"].as_slice(), ["mu"].as_slice()),
+        (UpdateRule::Multiplicative, ["mu"].as_slice(), ["solve", "normalize"].as_slice()),
+    ];
+    for (rule, update_stages, absent) in cases {
+        check_traced_run(rule, update_stages, absent);
+    }
+}
+
+fn check_traced_run(rule: UpdateRule, update_stages: &[&str], absent: &[&str]) {
     let _g = lock();
     let sink = adatm::trace::install_memory();
     let t = small_tensor();
     let mut b = AdaptiveBackend::plan(&t, 3);
-    let res =
-        CpAls::new(CpAlsOptions::new(3).max_iters(3).tol(0.0).seed(1)).run(&t, &mut b).unwrap();
+    let opts = CpAlsOptions::new(3).max_iters(3).tol(0.0).seed(1).update(rule);
+    let res = CpAls::new(opts).run(&t, &mut b).unwrap();
     adatm::trace::shutdown();
     let lines = sink.lines();
     let kinds: Vec<&str> = lines.iter().filter_map(|l| field_str(l, "ev")).collect();
@@ -57,14 +70,17 @@ fn traced_run_emits_planner_decisions_stages_and_nested_spans() {
     for required in ["planner.candidate", "planner.decision", "backend.dispatch", "stage"] {
         assert!(kinds.contains(&required), "missing '{required}' event in {kinds:?}");
     }
-    // Every ALS stage boundary is attributed.
+    // Every stage boundary of the rule is attributed.
     let stages: HashSet<&str> = lines
         .iter()
         .filter(|l| field_str(l, "ev") == Some("stage"))
         .filter_map(|l| field_str(l, "stage"))
         .collect();
-    for s in ["mttkrp", "gram", "solve", "normalize", "dense", "fit"] {
-        assert!(stages.contains(s), "missing stage '{s}' in {stages:?}");
+    for s in ["mttkrp", "gram", "dense", "fit"].iter().chain(update_stages) {
+        assert!(stages.contains(s), "{rule:?}: missing stage '{s}' in {stages:?}");
+    }
+    for s in absent {
+        assert!(!stages.contains(s), "{rule:?}: stray stage '{s}' in {stages:?}");
     }
     // Sequence numbers strictly increase (the NDJSON file is replayable
     // in order).
@@ -123,10 +139,10 @@ fn underpredicting_calibration_trips_the_drift_detector() {
     let _g = lock();
     let sink = adatm::trace::install_memory();
     let t = small_tensor();
-    let mut b = AdaptiveBackend::from_planner(
+    let mut b = AdaptiveBackend::from_plan(
         &t,
         3,
-        Planner::new(&t, 3).calibration(underpredicting_profile()),
+        Planner::new(&t, 3).calibration(underpredicting_profile()).plan(),
     );
     let res =
         CpAls::new(CpAlsOptions::new(3).max_iters(3).tol(0.0).seed(4)).run(&t, &mut b).unwrap();
@@ -155,10 +171,10 @@ fn underpredicting_calibration_trips_the_drift_detector() {
 fn drift_factor_zero_disables_the_detector() {
     let _g = lock();
     let t = small_tensor();
-    let mut b = AdaptiveBackend::from_planner(
+    let mut b = AdaptiveBackend::from_plan(
         &t,
         3,
-        Planner::new(&t, 3).calibration(underpredicting_profile()),
+        Planner::new(&t, 3).calibration(underpredicting_profile()).plan(),
     );
     let res = CpAls::new(CpAlsOptions::new(3).max_iters(3).tol(0.0).seed(5).drift_factor(0.0))
         .run(&t, &mut b)

@@ -13,6 +13,11 @@
 //!   `test.backend` event per backend call (`begin_mode`, `mttkrp`,
 //!   `reset`), so the order of cache invalidations is pinned too.
 //!
+//! The nonnegative-CP scenarios pin only the first item: their constants
+//! were recorded from the standalone NCP driver that the multiplicative
+//! update rule of `CpAls` replaced, which emitted no trace and no
+//! diagnostics.
+//!
 //! Every scenario runs on the sequential COO backend, whose output does
 //! not depend on the thread count; the pinned values hold under both
 //! `RAYON_NUM_THREADS=1` and `RAYON_NUM_THREADS=2`. A mismatch means the
@@ -24,7 +29,7 @@ use adatm::tensor::gen::{low_rank_tensor, zipf_tensor};
 use adatm::trace::{Event, Value};
 use adatm::{
     CheckpointConfig, CheckpointStore, CooBackend, CpAls, CpAlsOptions, CpResult, Mat,
-    MttkrpBackend, PpConfig, SparseTensor,
+    MttkrpBackend, PpConfig, SparseTensor, UpdateRule,
 };
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -71,8 +76,9 @@ impl Fnv {
     }
 }
 
-/// Hash of the run's numeric state and diagnostics.
-fn state_hash(res: &CpResult) -> u64 {
+/// Hasher over the run's numeric state: iterations, fit history, λ
+/// and every factor.
+fn model_fnv(res: &CpResult) -> Fnv {
     let mut h = Fnv::new();
     h.u64(res.iters as u64);
     h.f64s(&res.fit_history);
@@ -81,6 +87,12 @@ fn state_hash(res: &CpResult) -> u64 {
         h.u64(f.nrows() as u64);
         h.f64s(f.as_slice());
     }
+    h
+}
+
+/// Hash of the run's numeric state and diagnostics.
+fn state_hash(res: &CpResult) -> u64 {
+    let mut h = model_fnv(res);
     h.str(&format!("{:?}", res.diagnostics.stop));
     for e in &res.diagnostics.events {
         h.u64(e.iter as u64);
@@ -295,6 +307,42 @@ fn pp_checkpoint_kill_and_resume_trajectory_is_pinned() {
     check("ALS + PP checkpoint kill + resume", got, PINNED_PP_CKPT_RESUME);
 }
 
+/// Nonnegative CP from the starting factors the standalone NCP driver
+/// drew (`Mat::random` seeded `seed ^ (0xabc + mode)`), where its pins
+/// were recorded. Holds the sink lock: the run's trace events must not
+/// land in another scenario's sink.
+fn ncp_run(t: &SparseTensor, max_iters: usize, tol: f64) -> CpResult {
+    let _g = lock();
+    let (rank, seed) = (4, 3);
+    let start = t
+        .dims()
+        .iter()
+        .enumerate()
+        .map(|(d, &rows)| Mat::random(rows, rank, seed ^ (0xabc + d as u64)))
+        .collect();
+    let opts = CpAlsOptions::new(rank)
+        .max_iters(max_iters)
+        .tol(tol)
+        .seed(seed)
+        .update(UpdateRule::Multiplicative);
+    CpAls::new(opts).run_from(t, &mut CooBackend::with_parallel(t, false), start).unwrap()
+}
+
+#[test]
+fn ncp_trajectory_is_pinned() {
+    let res = ncp_run(&pp_tensor(), 20, 0.0);
+    assert_eq!(res.iters, 20);
+    assert_eq!(model_fnv(&res).0, PINNED_NCP, "nonnegative CP: trajectory changed");
+}
+
+#[test]
+fn ncp_converging_trajectory_is_pinned() {
+    let res = ncp_run(&pp_tensor(), 300, 1e-4);
+    assert!(res.converged, "the scenario must converge before its cap");
+    assert_eq!(res.iters, 26);
+    assert_eq!(model_fnv(&res).0, PINNED_NCP_CONVERGED, "nonnegative CP: trajectory changed");
+}
+
 #[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
@@ -424,3 +472,5 @@ const PINNED_ALS: (u64, u64) = (0x10950e6c35501ecb, 0xe04d95901fde2044);
 const PINNED_PP: (u64, u64) = (0x9bbf8bf0e5c7247f, 0x35020fd41d9b7845);
 const PINNED_CKPT_RESUME: (u64, u64) = (0x10950e6c35501ecb, 0x81da47a6642c373a);
 const PINNED_PP_CKPT_RESUME: (u64, u64) = (0x11bdf907401c438a, 0x2ac4e70738e6c3b1);
+const PINNED_NCP: u64 = 0xacfe526f647ca1f3;
+const PINNED_NCP_CONVERGED: u64 = 0x2062c60401d8a172;

@@ -437,7 +437,7 @@ mod tests {
         let t = adatm_tensor::gen::zipf_tensor(&[20, 30, 25, 15], 1500, &[0.8; 4], 1);
         let sink = adatm_trace::install_memory();
         let planner = adatm_model::Planner::new(&t, 8);
-        let b = adatm_core::AdaptiveBackend::from_planner(&t, 8, planner);
+        let b = adatm_core::AdaptiveBackend::from_plan(&t, 8, planner.plan());
         adatm_trace::shutdown();
         assert!(b.memo_plan().predicted_ns.is_none());
         let trace = sink.lines().join("\n");
